@@ -265,8 +265,8 @@ def cone_sum(c1, c2):
         return c1
     res = min(c1.resolution, c2.resolution)
     t = np.linspace(0.0, 1.0, 21)
-    combos = (t[None, :, None] * c1.rays[:, None, None, :]
-              + (1.0 - t)[None, :, None] * c2.rays[None, None, :, :])
+    combos = (t[None, :, None, None] * c1.rays[:, None, None, :]
+              + (1.0 - t)[None, :, None, None] * c2.rays[None, None, :, :])
     # combos shape: (k1, 21, k2, dim) via broadcasting
     combos = combos.reshape(-1, c1.dim)
     norms = np.linalg.norm(combos, axis=1)

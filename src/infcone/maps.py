@@ -202,45 +202,118 @@ def coderivative_at_infinity(F, ybar, cfg, method="frechet", label=""):
 # Distance function and preimage distance
 
 
+_MIRROR = {"==": "==", "<=": ">=", "<": ">", ">=": "<=", ">": "<"}
+
+
+def _fiber_box(piece, pinned, free_idx, full0):
+    """(lo, hi) per free coordinate when the piece's fiber is a box.
+
+    The piece qualifies when every comparison that touches a free
+    coordinate reads v_k op e or e op v_k, with v_k free and e a function
+    of the pinned block alone; strict operators count as closed, as in
+    dsl._eval_conj.  Returns None when some comparison does not qualify.
+    """
+    col = {int(k): j for j, k in enumerate(free_idx)}
+    lo = np.full(len(col), -np.inf)
+    hi = np.full(len(col), np.inf)
+    for c in piece.comparisons:
+        if not (free_vars(c.lhs) | free_vars(c.rhs)) & col.keys():
+            continue
+        for v, op, e in ((c.lhs, c.op, c.rhs),
+                         (c.rhs, _MIRROR[c.op], c.lhs)):
+            if isinstance(v, Var) and v.idx in col \
+                    and free_vars(e) <= pinned:
+                break
+        else:
+            return None
+        b = dsl.eval_expr(e, full0)
+        k = col[v.idx]
+        if op in ("==", "<=", "<"):
+            hi[k] = np.minimum(hi[k], b)
+        if op in ("==", ">=", ">"):
+            lo[k] = np.maximum(lo[k], b)
+    return lo, hi
+
+
 def _pinned_min(S, pinned_idx, pinned_vals, free_idx, target, starts, cfg):
     """min |z - target| over z with the pinned/free coordinate split in S.
+
+    A piece whose fiber is a box (_fiber_box) offers the clip of target
+    into the box.  Other pieces, and clips that fail the residual check,
+    go to SLSQP from the points `starts()` returns; the callable runs at
+    most once, when the first piece needs it.
 
     Returns (best_dist, best_point_free or None, residual).
     """
     from scipy.optimize import minimize
     best = (INF, None, INF)
-    dim = S.dim
+    pinned = set(int(i) for i in pinned_idx)
+    full0 = np.empty(S.dim)
+    full0[pinned_idx] = pinned_vals
+    full0[free_idx] = target
+    start_pts = None
+
+    def assemble(z):
+        v = full0.copy()
+        v[free_idx] = z
+        return v
+
+    def accepted(piece, z):
+        """(distance, z, residual) when z passes the residual check."""
+        if not np.isfinite(z).all():
+            return None
+        v = assemble(z)
+        resid = float(piece.residual(v[None, :])[0])
+        if resid > 1e-7 * (1.0 + np.linalg.norm(v)):
+            return None
+        return float(np.linalg.norm(z - target)), z, resid
+
     for piece in S.pieces:
         # constant infeasibility in the pinned block rules the piece out
-        full0 = np.empty(dim)
-        full0[pinned_idx] = pinned_vals
-        full0[free_idx] = target
-
-        def assemble(z):
-            v = np.empty(dim)
-            v[pinned_idx] = pinned_vals
-            v[free_idx] = z
-            return v
-
-        cons = []
+        ruled_out = False
+        free_cis = []
         for ci, c in enumerate(piece.comparisons):
             cvars = free_vars(c.lhs) | free_vars(c.rhs)
-            if cvars and cvars <= set(int(i) for i in pinned_idx):
-                g = float(piece.gval(ci, full0[None, :])[0])
-                viol = abs(g) if c.is_eq else max(g, 0.0)
-                if viol > 1e-9 * float(piece.rhs_scale(ci, full0[None, :])[0]):
-                    cons = None
-                    break
+            if not (cvars and cvars <= pinned):
+                free_cis.append(ci)
                 continue
+            g = float(piece.gval(ci, full0[None, :])[0])
+            viol = abs(g) if c.is_eq else max(g, 0.0)
+            if viol > 1e-9 * float(piece.rhs_scale(ci, full0[None, :])[0]):
+                ruled_out = True
+                break
+        if ruled_out:
+            continue
+        box = _fiber_box(piece, pinned, free_idx, full0)
+        if box is not None:
+            lo, hi = box
+            with np.errstate(invalid="ignore"):
+                tol = 1e-9 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+                if np.any(lo - hi > tol):
+                    continue
+            cand = accepted(piece, np.minimum(np.maximum(target, lo), hi))
+            if cand is not None:
+                if cand[0] < best[0]:
+                    best = cand
+                continue
+        cons = []
+        for ci in free_cis:
+            c = piece.comparisons[ci]
+            sgn = 1.0 if c.is_eq else -1.0
 
-            def fun(z, piece=piece, ci=ci,
-                    sgn=(1.0 if c.is_eq else -1.0)):
+            def fun(z, piece=piece, ci=ci, sgn=sgn):
                 return sgn * float(piece.gval(ci, assemble(z)[None, :])[0])
 
-            cons.append({"type": "eq" if c.is_eq else "ineq", "fun": fun})
-        if cons is None:
-            continue
-        for st in starts:
+            entry = {"type": "eq" if c.is_eq else "ineq", "fun": fun}
+            if c.smooth:
+                def jac(z, piece=piece, ci=ci, sgn=sgn):
+                    g = piece.grad(ci, assemble(z)[None, :])[0, free_idx]
+                    return sgn * np.where(np.isfinite(g), g, 0.0)
+                entry["jac"] = jac
+            cons.append(entry)
+        if start_pts is None:
+            start_pts = starts()
+        for st in start_pts:
             try:
                 res = minimize(
                     lambda z: float(np.sum((z - target) ** 2)), st,
@@ -249,15 +322,9 @@ def _pinned_min(S, pinned_idx, pinned_vals, free_idx, target, starts, cfg):
                     options={"maxiter": 200, "ftol": 1e-14})
             except (ValueError, OverflowError):
                 continue
-            z = np.asarray(res.x, dtype=float)
-            if not np.isfinite(z).all():
-                continue
-            v = assemble(z)
-            resid = float(piece.residual(v[None, :])[0])
-            if resid <= 1e-7 * (1.0 + np.linalg.norm(v)):
-                d = float(np.linalg.norm(z - target))
-                if d < best[0]:
-                    best = (d, z, resid)
+            cand = accepted(piece, np.asarray(res.x, dtype=float))
+            if cand is not None and cand[0] < best[0]:
+                best = cand
     return best
 
 
@@ -273,14 +340,15 @@ def distance_to_image(F, x, y, cfg):
             return INF
         v = F.graph._atom_values(np.array([k]))[0]
         return float(abs(y[0] - v)) if np.isfinite(v) else INF
-    starts = [y]
-    for r in (0.5, 2.0, 8.0, 32.0):
-        Y = F.values_near(x, y, r, 64, cfg,
-                          label="dimg|%.3g" % r)
-        if len(Y):
-            d = np.linalg.norm(Y - y, axis=1)
-            starts.append(Y[int(np.argmin(d))])
-            break
+
+    def starts():
+        # y plus the nearest sampled fiber point, for pieces that need SLSQP
+        for r in (0.5, 2.0, 8.0, 32.0):
+            Y = F.values_near(x, y, r, 64, cfg, label="dimg|%.3g" % r)
+            if len(Y):
+                return [y, Y[int(np.argmin(np.linalg.norm(Y - y, axis=1)))]]
+        return [y]
+
     pinned = np.arange(F.n)
     free = np.arange(F.n, F.n + F.m)
     best, _, _ = _pinned_min(F.graph, pinned, x, free, y, starts, cfg)
@@ -301,8 +369,8 @@ def dist_to_preimage(F, z, x0, cfg):
         return float(np.min(np.abs(ks[hit] - x0[0])))
     pinned = np.arange(F.n, F.n + F.m)
     free = np.arange(F.n)
-    starts = [x0, x0 + 1.0, x0 - 1.0]
-    best, _, _ = _pinned_min(F.graph, pinned, z, free, x0, starts, cfg)
+    best, _, _ = _pinned_min(F.graph, pinned, z, free, x0,
+                             lambda: [x0, x0 + 1.0, x0 - 1.0], cfg)
     return best
 
 

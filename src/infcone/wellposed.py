@@ -322,8 +322,7 @@ def test_lipschitz_like(F, ybar, ell, cfg, pts_per_shell=10):
                 checked += 1
                 if d > ell * gap * 1.05 + 1e-9:
                     # cross-check on the d_F Lipschitz inequality
-                    lhs = abs(distance_to_image(F, xp, y, cfg)
-                              - distance_to_image(F, x, y, cfg))
+                    lhs = abs(d - distance_to_image(F, x, y, cfg))
                     witness = {"x": x.tolist(), "x_prime": xp.tolist(),
                                "y": y.tolist(),
                                "dist": None if np.isinf(d) else float(d),
@@ -348,9 +347,8 @@ def _preimage_membership(F, x, ybar, rho, cfg):
         return distance_to_image(F, x, ybar, cfg) <= rho
     pinned = np.arange(F.n)
     free = np.arange(F.n, F.n + F.m)
-    starts = [ybar, ybar + 0.25, ybar - 0.25]
-    best, _, _ = _pinned_min(F.graph, pinned, np.atleast_1d(x), free,
-                             ybar, starts, cfg)
+    best, _, _ = _pinned_min(F.graph, pinned, np.atleast_1d(x), free, ybar,
+                             lambda: [ybar, ybar + 0.25, ybar - 0.25], cfg)
     return best <= rho
 
 

@@ -47,6 +47,19 @@ class TestConeOps:
         z = RayCone.zero(2)
         assert cone_distance(cone_sum(c, z), c) <= 1e-6
 
+    def test_sum_multi_ray_operands(self):
+        # 2 + 3 rays: every pair mixes, giving the (k1, 21, k2, dim) grid
+        a = rays([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        b = rays([0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0])
+        assert len(b.rays) == 3
+        s = cone_sum(a, b)
+        assert s.status == Status.RAYS
+        for d in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0],
+                  [1.0, 0.0, 2.0]):
+            assert contains_direction(s, np.array(d) / np.linalg.norm(d),
+                                      0.05)
+        assert not contains_direction(s, np.array([-1.0, 0.0, 0.0]), 0.05)
+
     def test_empty_propagates(self):
         e = RayCone.empty(2)
         assert cone_sum(e, rays([1.0, 0.0])).is_empty

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from infcone.cones import (INF, RayCone, Status, contains_direction,
                            slice_hmap)
@@ -11,8 +12,8 @@ from infcone.dsl import parse_problem
 from infcone.maps import (MultiMap, check_prop314, coderivative_cone_at,
                           dist_to_preimage, distance_to_image,
                           function_value, jelonek_set, point_subdifferential)
-from infcone.sets import SetError
-from infcone.suite import fixture_function
+from infcone.sets import ClosedSet, SetError
+from infcone.suite import fixture_function, fixture_map
 
 
 def make_map(graph, n=1, m=1, name="F"):
@@ -67,24 +68,48 @@ class TestCoderivative:
             coderivative_cone_at(F, 1.0, 5.0, fast_cfg)
 
 
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Counts of SLSQP solves and fiber start searches made by a test."""
+    calls = {"minimize": 0, "sample_fiber": 0}
+    minimize, sample_fiber = scipy.optimize.minimize, ClosedSet.sample_fiber
+
+    def counted_minimize(*args, **kwargs):
+        calls["minimize"] += 1
+        return minimize(*args, **kwargs)
+
+    def counted_sample_fiber(self, *args, **kwargs):
+        calls["sample_fiber"] += 1
+        return sample_fiber(self, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
+    monkeypatch.setattr(ClosedSet, "sample_fiber", counted_sample_fiber)
+    return calls
+
+
 class TestDistances:
-    def test_distance_to_image(self, fast_cfg):
+    def test_distance_to_image(self, fast_cfg, solver_calls):
+        # v2 == v1^2 is a box once v1 is pinned: no solver runs
         F = make_map("v2 == v1^2")
         assert distance_to_image(F, 2.0, 1.0, fast_cfg) == \
             pytest.approx(3.0, abs=1e-6)
         assert distance_to_image(F, 2.0, 4.0, fast_cfg) == \
             pytest.approx(0.0, abs=1e-6)
+        assert solver_calls == {"minimize": 0, "sample_fiber": 0}
 
     def test_empty_image(self, fast_cfg):
         # graph restricted to v1 >= 1: F(x) empty for x < 1
         F = make_map("v2 == v1 && v1 >= 1")
         assert distance_to_image(F, 0.0, 0.0, fast_cfg) == INF
 
-    def test_dist_to_preimage(self, fast_cfg):
+    def test_dist_to_preimage(self, fast_cfg, solver_calls):
+        # with v2 pinned, v1 is free inside v1^2: not a box, so SLSQP runs
         F = make_map("v2 == v1^2")
         assert dist_to_preimage(F, 4.0, 0.0, fast_cfg) == \
             pytest.approx(2.0, abs=1e-6)
         assert dist_to_preimage(F, -1.0, 0.0, fast_cfg) == INF
+        assert solver_calls["minimize"] > 0
+        assert solver_calls["sample_fiber"] == 0
 
     def test_discrete_atoms(self, fast_cfg):
         doc = json.dumps({"mappings": {"A": {
@@ -95,6 +120,32 @@ class TestDistances:
             pytest.approx(1.0)
         assert distance_to_image(F, 2.5, 0.0, fast_cfg) == INF
         assert dist_to_preimage(F, 9.0, 0.0, fast_cfg) == pytest.approx(3.0)
+
+
+class TestFiberBox:
+    """Pieces whose fiber is a box are projected by a clip."""
+
+    def test_zero_union_ray_preimage(self, fast_cfg, solver_calls):
+        # SLSQP from x0, x0 +- 1 misses the ray v2 >= v1 at this x0
+        x0 = 4228.38105354
+        F = fixture_map("ZeroUnionRay")
+        assert dist_to_preimage(F, 0.2, x0, fast_cfg) == \
+            pytest.approx(x0 - 0.2, rel=1e-12)
+        assert solver_calls == {"minimize": 0, "sample_fiber": 0}
+
+    def test_half_line_parabola_preimage(self, fast_cfg):
+        # the v1 <= 0 && v2 <= 0 piece is a box; v2 == v1^2 is not
+        x0 = 1134.236591674426
+        F = fixture_map("HalfLineParabola")
+        assert dist_to_preimage(F, -0.05, x0, fast_cfg) == \
+            pytest.approx(x0, rel=1e-12)
+
+    def test_empty_box(self, fast_cfg, solver_calls):
+        F = make_map("v2 >= v1 && v2 <= 0")
+        assert distance_to_image(F, 1.0, 0.0, fast_cfg) == INF
+        assert distance_to_image(F, -1.0, 0.5, fast_cfg) == \
+            pytest.approx(0.5, abs=1e-12)
+        assert solver_calls == {"minimize": 0, "sample_fiber": 0}
 
 
 class TestJelonek:
