@@ -290,7 +290,6 @@ def build_parser():
     p.add_argument("--x", default=None)
     p.add_argument("--at-infinity", action="store_true")
     p.add_argument("--ybar", default=None)
-    p.add_argument("--total", action="store_true")
     p.add_argument("--method", default="frechet",
                    choices=("frechet", "limiting", "both"))
 

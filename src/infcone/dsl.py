@@ -397,8 +397,7 @@ class Comparison:
     orienting >=, > to <=, <.
     """
 
-    __slots__ = ("g", "strict", "is_eq", "lhs", "rhs", "op", "smooth",
-                 "_grad")
+    __slots__ = ("g", "is_eq", "lhs", "rhs", "op", "smooth", "_grad")
 
     def __init__(self, lhs, op, rhs):
         self.lhs = lhs
@@ -408,7 +407,6 @@ class Comparison:
             lhs, rhs = rhs, lhs
             op = {">": "<", ">=": "<="}[op]
         self.g = _sub(lhs, rhs)
-        self.strict = op == "<"
         self.is_eq = op == "=="
         try:
             # probe smoothness; actual gradient exprs cached lazily per dim
@@ -511,10 +509,8 @@ def _eval_conj(conj, p, eq_tol):
             if c.is_eq:
                 inside = np.abs(g) <= tol
                 st = np.where(inside, BOUNDARY, OUTSIDE)
-            elif c.strict:
-                st = np.where(g < -tol, INSIDE,
-                              np.where(g <= tol, BOUNDARY, OUTSIDE))
             else:
+                # strict comparisons count as closed: the set is the closure
                 st = np.where(g < -tol, INSIDE,
                               np.where(g <= tol, BOUNDARY, OUTSIDE))
             status = np.minimum(status, st)

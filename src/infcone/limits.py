@@ -8,7 +8,9 @@ normal cones -- contingent, Frechet, limiting, at infinity with a value,
 at infinity total -- reduce to this engine plus the closed-set oracles.
 """
 
+import itertools
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -145,6 +147,75 @@ def _persistent_mask(cands, shell_dirs, shell_full, sampled, last, window,
             mask[i] = True
             runs[i] = list(range(j + 1, last + 1))
     return mask, runs
+
+
+def _cells(X, side):
+    """Cell index per row of X over its (at most three) leading coordinates.
+
+    Rows within side/2 of each other get indices at most 1 apart in each
+    coordinate, whatever the rounding in x / side, also once clipped at
+    2^48, where x / side is still within 1/16 of exact.
+    """
+    if len(X) == 0:
+        return []
+    with np.errstate(all="ignore"):
+        Q = np.nan_to_num(np.floor(np.asarray(X, dtype=float)[:, :3] / side))
+    return list(map(tuple, np.clip(Q, -2**48, 2**48).astype(int).tolist()))
+
+
+def _near(cells, x, key, radius):
+    """True when a point q hashed in the cells around key has
+    np.linalg.norm(x - q) <= radius; the cells only prune the pairs tested."""
+    return any(np.linalg.norm(x - q) <= radius
+               for off in itertools.product((-1, 0, 1), repeat=len(key))
+               for q in cells.get(tuple(map(operator.add, key, off)), ()))
+
+
+def _first_seen(rows, radius):
+    """Greedy first-seen clustering: a row becomes a representative when
+    no earlier representative lies within radius (cells of side 2*radius)."""
+    reps, cells = [], {}
+    X = np.asarray(rows, dtype=float)
+    for x, key in zip(X, _cells(X, 2.0 * radius)):
+        if not _near(cells, x, key, radius):
+            reps.append(x)
+            cells.setdefault(key, []).append(x)
+    return reps
+
+
+def limit_points(shell_rows, mesh, window):
+    """Points that persist through the last `window` shells of samples.
+
+    Each tail shell's rows are clustered first-seen at radius mesh, their
+    pooled representatives again, and a pooled one persists when every
+    tail shell has a representative within 2*mesh.  The point-side twin
+    of _persistent_mask; returns the persistent points in first-seen order.
+    """
+    tail = [_first_seen(rows, mesh) for rows in shell_rows[-window:]]
+    pooled = _first_seen([p for reps in tail for p in reps], mesh)
+    grids = []
+    for reps in tail:
+        grids.append({})
+        for p, key in zip(reps, _cells(reps, 4.0 * mesh)):
+            grids[-1].setdefault(key, []).append(p)
+    return [c for c, key in zip(pooled, _cells(pooled, 4.0 * mesh))
+            if all(_near(g, c, key, 2.0 * mesh) for g in grids)]
+
+
+def divergent(trend):
+    """True when per-shell suprema escape together with their shells.
+
+    trend[j] is None for a shell without values, else (sup, radius) with
+    radius the norm of the base point attaining sup.  Over the last three
+    shells with values, sup must end above 10 and grow by at least 0.8
+    times the growth of that radius.  The first and last of those shells
+    never overlap, so at radius factor 2 a constant sup cannot pass.
+    """
+    seen = [t for t in trend if t is not None]
+    if len(seen) < 3:
+        return False
+    (s0, r0), _, (s2, r2) = seen[-3:]
+    return s2 > 10.0 and s2 >= 0.8 * (r2 / r0) * s0
 
 
 def outer_limit(field, approach, cfg):

@@ -14,9 +14,9 @@ from .cones import (INF, RayCone, Status, canonicalize, cone_intersect,
                     contains_direction, slice_hmap, hmap_kernel, HSlice)
 from .dsl import (Comparison, Conj, Predicate, Var, _add, _ev,
                   eval_predicate, free_vars, gradient, subst_vars)
-from .limits import (ApproachSpec, limiting_normal_cone,
-                     normal_cone_at_infinity, normal_cone_at_infinity_total,
-                     outer_limit)
+from .limits import (ApproachSpec, divergent, limit_points,
+                     limiting_normal_cone, normal_cone_at_infinity,
+                     normal_cone_at_infinity_total, outer_limit)
 from .sets import (ClosedSet, SetError, Shell, epigraph_set, full_space,
                    graph_of_function, graph_set)
 from .verdict import Verdict
@@ -415,18 +415,6 @@ def _eval_explicit(pieces_meta, X, m, eq_tol=1e-9):
     return out
 
 
-def _divergence_trend(norms, cfg, floor=10.0):
-    """True when the per-shell max norms keep growing geometrically."""
-    seen = [v for v in norms if v is not None]
-    if len(seen) < 3:
-        return False
-    tail = seen[-3:]
-    if tail[-1] < floor:
-        return False
-    thr = 0.8 * cfg.radius_factor
-    return all(tail[i + 1] >= thr * tail[i] for i in range(2))
-
-
 def _slice_cone(s, dim):
     """Conic content of a slice-at-0 HSlice as a RayCone."""
     if s.empty:
@@ -450,13 +438,38 @@ def _default_v_grid(m):
     return grid
 
 
-def _cluster_rows(rows, mesh):
-    """Greedy first-seen clustering of points; returns representatives."""
-    reps = []
-    for r in rows:
-        if not any(np.linalg.norm(r - q) <= mesh for q in reps):
-            reps.append(np.asarray(r, dtype=float))
-    return reps
+def _graph_samples(F, ybar, cfg, j, count, label):
+    """Shell-j graph samples of F: x escaping, values near ybar."""
+    sh = Shell(range(F.n), cfg.radius(j), cfg.radius(j + 1),
+               center=ybar, rho=cfg.rho(j))
+    return F.graph.sample_shell(sh, count, cfg, label="%s|%d" % (label, j))
+
+
+def _limit_sweep(F, ybar, cfg, label, values, blocks, mesh):
+    """Shell sweep shared by the sum- and chain-rule verifiers.
+
+    values(j, P) -> (V, X): value rows of the shell-j graph samples P and
+    the base point of each.  Returns (sups, points): sups[b][j] is the
+    largest norm of column block b in shell j (None without rows); points
+    are the limit points of V, or None when some block diverges.
+    """
+    rows, trends = [], [[] for _ in blocks]
+    for j in range(cfg.shells):
+        P = _graph_samples(F, ybar, cfg, j, cfg.samples_per_shell // 2,
+                           label)
+        V, X = values(j, P) if len(P) else ((), ())
+        rows.append(V)
+        for blk, trend in zip(blocks, trends):
+            if len(V) == 0:
+                trend.append(None)
+                continue
+            norms = np.linalg.norm(V[:, blk], axis=1)
+            i = int(np.argmax(norms))
+            trend.append((float(norms[i]), float(np.linalg.norm(X[i]))))
+    sups = [[None if t is None else t[0] for t in trend] for trend in trends]
+    if any(divergent(trend) for trend in trends):
+        return sups, None
+    return sups, limit_points(rows, mesh, cfg.persistence_window)
 
 
 def verify_sum_rule(F1, F2, ybar, v_grid, cfg):
@@ -479,41 +492,21 @@ def verify_sum_rule(F1, F2, ybar, v_grid, cfg):
                                     "explicit single-valued maps")
     mesh = 0.05
     diag = {"j_plus_mesh": mesh}
-    # shell sweep: boundedness falsifier + limit-pair estimation
-    norms1, norms2 = [], []
-    pair_shells = []
-    for j in range(cfg.shells):
-        sh = Shell(range(n), cfg.radius(j), cfg.radius(j + 1), center=ybar,
-                   rho=cfg.rho(j))
-        P = Fsum.graph.sample_shell(sh, cfg.samples_per_shell // 2, cfg,
-                                    label="sum|%d" % j)
-        if len(P) == 0:
-            norms1.append(None)
-            norms2.append(None)
-            pair_shells.append([])
-            continue
+
+    def values(j, P):
         X = P[:, :n]
         Y1 = _eval_explicit(e1, X, m)
         Y2 = _eval_explicit(e2, X, m)
         good = np.isfinite(Y1).all(axis=1) & np.isfinite(Y2).all(axis=1)
-        Y1, Y2 = Y1[good], Y2[good]
-        norms1.append(float(np.max(np.linalg.norm(Y1, axis=1)))
-                      if len(Y1) else None)
-        norms2.append(float(np.max(np.linalg.norm(Y2, axis=1)))
-                      if len(Y2) else None)
-        pair_shells.append(_cluster_rows(np.hstack([Y1, Y2]), mesh))
-    if _divergence_trend(norms1, cfg) or _divergence_trend(norms2, cfg):
-        return Verdict.inconclusive(
-            "boundedness", summand_norms=[norms1, norms2], **diag)
-    # limit pairs: clusters persisting through the final window
-    window = cfg.persistence_window
-    cands = _cluster_rows(
-        [p for sh_ in pair_shells[-window:] for p in sh_], mesh)
-    pairs = []
-    for c in cands:
-        if all(any(np.linalg.norm(c - p) <= 2 * mesh for p in sh_)
-               for sh_ in pair_shells[-window:] if True):
-            pairs.append((c[:m], c[m:]))
+        return np.hstack([Y1, Y2])[good], X[good]
+
+    # boundedness falsifier, then limit pairs (a, b) of the summand values
+    norms, points = _limit_sweep(Fsum, ybar, cfg, "sum", values,
+                                 [slice(0, m), slice(m, None)], mesh)
+    if points is None:
+        return Verdict.inconclusive("boundedness", summand_norms=norms,
+                                    **diag)
+    pairs = [(c[:m], c[m:]) for c in points]
     diag["j_plus"] = [[a.tolist(), b.tolist()] for a, b in pairs]
     if not pairs:
         return Verdict.inconclusive("no limit pairs sampled near ybar",
@@ -565,8 +558,8 @@ def verify_sum_rule(F1, F2, ybar, v_grid, cfg):
             s2 = slice_hmap(c2, v, cfg.ang_tol, m)
             if s1.empty or s2.empty:
                 continue
-            for p1 in (s1.points if len(s1.points) else [np.zeros(n)] * 0):
-                for p2 in (s2.points if len(s2.points) else []):
+            for p1 in s1.points:
+                for p2 in s2.points:
                     right_pts.append(p1 + p2)
             right_rec.extend(list(s1.recessions) + list(s2.recessions))
         tol = mesh + 0.05 * (1.0 + float(np.linalg.norm(v)))
@@ -629,25 +622,18 @@ def verify_chain_rule(F1, F2, ybar, cfg, comp=None, v_grid=None):
                                     "and no composition graph was supplied")
     mesh = 0.05
     diag = {"j_mid_mesh": mesh}
-    znorms = []
-    z_shells = []
-    for j in range(cfg.shells):
-        sh = Shell(range(n), cfg.radius(j), cfg.radius(j + 1), center=ybar,
-                   rho=cfg.rho(j))
-        P = comp.graph.sample_shell(sh, cfg.samples_per_shell // 2, cfg,
-                                    label="chain|%d" % j)
-        if len(P) == 0:
-            znorms.append(None)
-            z_shells.append([])
-            continue
+
+    def values(j, P):
+        """Intermediate values z with (x, z) in gph F1, (z, y) in gph F2."""
         X, Y = P[:, :n], P[:, n:]
-        zs = []
+        zs, xs = [], []
         if e1 is not None:
             Z = _eval_explicit(e1, X, p)
-            for z, y in zip(Z, Y):
+            for x, z, y in zip(X, Z, Y):
                 if np.isfinite(z).all() and \
                         distance_to_image(F2, z, y, cfg) <= 2 * mesh:
                     zs.append(z)
+                    xs.append(x)
         else:
             sel = np.linspace(0, len(P) - 1,
                               min(len(P), 40)).round().astype(int)
@@ -657,10 +643,12 @@ def verify_chain_rule(F1, F2, ybar, cfg, comp=None, v_grid=None):
                 for z in Zc:
                     if distance_to_image(F2, z, y, cfg) <= 2 * mesh:
                         zs.append(z)
-        znorms.append(float(np.max(np.linalg.norm(zs, axis=1)))
-                      if len(zs) else None)
-        z_shells.append(_cluster_rows(zs, mesh))
-    if _divergence_trend(znorms, cfg):
+                        xs.append(x)
+        return np.reshape(zs, (-1, p)), np.reshape(xs, (-1, n))
+
+    (znorms,), zbars = _limit_sweep(comp, ybar, cfg, "chain", values,
+                                    [slice(None)], mesh)
+    if zbars is None:
         # with escaping intermediates the quantifier set of the
         # qualification condition is empty, so neither hypothesis of the
         # chain rule can be affirmed
@@ -668,12 +656,6 @@ def verify_chain_rule(F1, F2, ybar, cfg, comp=None, v_grid=None):
             "CQ unverifiable: intermediate values escape "
             "(boundedness condition fails, no limit values z)",
             intermediate_norms=znorms, **diag)
-    window = cfg.persistence_window
-    cands = _cluster_rows(
-        [z for sh_ in z_shells[-window:] for z in sh_], mesh)
-    zbars = [c for c in cands
-             if all(any(np.linalg.norm(c - z) <= 2 * mesh for z in sh_)
-                    for sh_ in z_shells[-window:])]
     diag["j_mid"] = [z.tolist() for z in zbars]
     if not zbars:
         return Verdict.inconclusive("no intermediate limit values sampled",
@@ -841,18 +823,6 @@ def _graph_piece_values(f):
     return out
 
 
-def _persistent_points(shell_reps, window, mesh):
-    """Point clusters matched through the final `window` shells."""
-    tail = shell_reps[-window:]
-    cands = _cluster_rows([p for sh in tail for p in sh], mesh)
-    kept = []
-    for c in cands:
-        if all(any(np.linalg.norm(c - p) <= 2 * mesh for p in sh)
-               for sh in tail):
-            kept.append(c)
-    return kept
-
-
 def subdifferential_at_infinity(f, ybar, cfg, label=""):
     """Limiting and singular subdifferentials of f at (infinity, ybar).
 
@@ -865,20 +835,17 @@ def subdifferential_at_infinity(f, ybar, cfg, label=""):
     """
     n = f.n
     ybar = float(np.atleast_1d(ybar)[0])
-    G = graph_of_function(f)
+    Fg = MultiMap.from_funcdef(f)
+    G = Fg.graph
     piece_vals = _graph_piece_values(f)
     grad_exprs = [gradient(v, n) for v in piece_vals]
     mesh = 0.02
-    shell_reps = []
-    sampled = []
+    shell_grads = []
     for j in range(cfg.shells):
-        sh = Shell(range(n), cfg.radius(j), cfg.radius(j + 1),
-                   center=[ybar], rho=cfg.rho(j))
-        P = G.sample_shell(sh, cfg.samples_per_shell, cfg,
-                           label="sdb|%s|%d" % (label or f.name, j))
-        sampled.append(len(P) > 0)
+        P = _graph_samples(Fg, [ybar], cfg, j, cfg.samples_per_shell,
+                           "sdb|" + (label or f.name))
         if len(P) == 0:
-            shell_reps.append([])
+            shell_grads.append(())
             continue
         pstat = G.piece_status(P, cfg.eq_tol)
         member = pstat >= dsl.BOUNDARY
@@ -892,13 +859,9 @@ def subdifferential_at_infinity(f, ybar, cfg, label=""):
                         U[rows, jx] = _ev(e, X[rows])
         good = np.isfinite(U).all(axis=1) & \
             (np.linalg.norm(U, axis=1) <= 1e3)
-        shell_reps.append(_cluster_rows(U[good], mesh))
-    window = cfg.persistence_window
-    if not any(sampled[-window:]):
-        basic = HSlice.make_empty(n)
-    else:
-        pts = _persistent_points(shell_reps, window, mesh)
-        basic = HSlice(n, points=pts) if pts else HSlice.make_empty(n)
+        shell_grads.append(U[good])
+    pts = limit_points(shell_grads, mesh, cfg.persistence_window)
+    basic = HSlice(n, points=pts) if pts else HSlice.make_empty(n)
 
     # singular field over each piece's domain, no value window
     domain_sets = []

@@ -16,7 +16,7 @@ from .cones import (INF, HSlice, RayCone, Status, canonicalize,
                     cone_intersect, cone_negate, contains_direction,
                     split_ray, unit)
 from .grids import grid_sizes_from_config, sphere_grid
-from .limits import (ApproachSpec, normal_cone_at_infinity_total,
+from .limits import (ApproachSpec, _first_seen, normal_cone_at_infinity_total,
                      outer_limit)
 from .maps import _slice_cone, coderivative_at_infinity, slice_hmap
 from .sets import (SetError, Shell, full_space, intersection_set,
@@ -139,12 +139,7 @@ def scalarize_subdiff(K, e, y, cfg, tol=0.05):
     keep = c[np.abs(vals - phi) <= tol * (1.0 + np.linalg.norm(y))]
     if keep.shape[0] == 0:
         return HSlice.make_empty(K.m)
-    # dedup on the slice
-    pts = []
-    for p in keep:
-        if not any(np.linalg.norm(p - q) <= 0.01 for q in pts):
-            pts.append(p)
-    return HSlice(K.m, points=pts)
+    return HSlice(K.m, points=_first_seen(keep, 0.01))
 
 
 # ---------------------------------------------------------------------------

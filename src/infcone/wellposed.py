@@ -18,10 +18,10 @@ import numpy as np
 
 from .cones import (INF, RayCone, Status, canonicalize, dedup_directions,
                     hmap_kernel, phm_norm, slice_hmap)
-from .limits import normal_cone_at_infinity_total
-from .maps import (_cluster_rows, _persistent_points, coderivative_at_infinity,
-                   dist_to_preimage, distance_to_image, _pinned_min)
-from .sets import Shell
+from .limits import (_persistent_mask, divergent, limit_points,
+                     normal_cone_at_infinity_total)
+from .maps import (_graph_samples, _pinned_min, coderivative_at_infinity,
+                   dist_to_preimage, distance_to_image)
 from .verdict import Verdict
 
 _BUDGET_NOTE = "no counterexample within budget (not a proof)"
@@ -75,26 +75,11 @@ class ModulusEstimate:
                 "trend": self.trend}
 
 
-def _graph_samples(F, ybar, cfg, j, count, label):
-    sh = Shell(range(F.n), cfg.radius(j), cfg.radius(j + 1),
-               center=ybar, rho=cfg.rho(j))
-    return F.graph.sample_shell(sh, count, cfg, label="%s|%d" % (label, j))
-
-
 def _subsample(P, k):
     if len(P) <= k:
         return P
     sel = np.linspace(0, len(P) - 1, k).round().astype(int)
     return P[sel]
-
-
-def _diverges(trend, cfg):
-    seen = [t for t in trend if t is not None]
-    if len(seen) < 3:
-        return False
-    thr = 0.8 * cfg.radius_factor
-    a, b, c = seen[-3:]
-    return c > 10.0 and b >= thr * a and c >= thr * b
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +169,8 @@ def estimate_regularity_modulus(F, ybar, cfg, pts_per_shell=10):
 
     x runs through the shells, y through a fixed offset grid around ybar;
     ratios with a vanishing denominator are skipped.  +inf sentinel when
-    the per-shell suprema keep growing geometrically.
+    the per-shell suprema grow with the radius of the x attaining them
+    (limits.divergent).
     """
     ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
     offsets = []
@@ -195,7 +181,7 @@ def estimate_regularity_modulus(F, ybar, cfg, pts_per_shell=10):
                 e[k] = sgn * mag
                 offsets.append(e)
     rng = cfg.rng("reg", F.name)
-    trend = []
+    trend = []  # per shell: (sup, |x| of the x attaining it) or None
     worst = None
     best = 0.0
     used = 0
@@ -217,17 +203,17 @@ def estimate_regularity_modulus(F, ybar, cfg, pts_per_shell=10):
                 used += 1
                 ratio = d_pre / d_img if np.isfinite(d_pre) else INF
                 if sup_j is None or ratio > sup_j:
-                    sup_j = ratio
+                    sup_j, r_sup = ratio, float(np.linalg.norm(x))
                 if ratio > best:
                     best = ratio
                     worst = {"x": x.tolist(), "y": y.tolist(),
                              "d_image": float(d_img),
                              "d_preimage": None if np.isinf(d_pre)
                              else float(d_pre)}
-        trend.append(sup_j)
-    value = INF if _diverges(trend, cfg) or best == INF else best
+        trend.append(None if sup_j is None else (sup_j, r_sup))
+    value = INF if divergent(trend) or best == INF else best
     return ModulusEstimate(value, used, worst,
-                           [None if t is None or np.isinf(t) else t
+                           [None if t is None or np.isinf(t[0]) else t[0]
                             for t in trend])
 
 
@@ -398,9 +384,9 @@ def _fd_gradient(fun, w, h):
 def _distance_subgradient_fields(F, ybar, cfg, pts_per_shell=10):
     """Per-shell samples of grad d_F near the graph at large radii.
 
-    Returns (value_clusters_per_shell, big_dirs_per_shell, sampled_flags):
-    the first feeds the bounded subgradient cluster set, the second the
-    blow-up direction field (threshold 2^j at shell j).
+    Returns (values_per_shell, big_dirs_per_shell): the first feeds the
+    bounded subgradient limit points, the second the blow-up direction
+    field (threshold 2^j at shell j).
     """
     ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
     dim = F.n + F.m
@@ -408,14 +394,12 @@ def _distance_subgradient_fields(F, ybar, cfg, pts_per_shell=10):
     def dfun(w):
         return distance_to_image(F, w[:F.n], w[F.n:], cfg)
 
-    clusters = []
+    values = []
     big = []
-    sampled = []
     for j in range(cfg.shells):
         P = _subsample(_graph_samples(F, ybar, cfg, j,
                                       cfg.samples_per_shell // 4, "fgrad"),
                        pts_per_shell)
-        sampled.append(len(P) > 0)
         vals = []
         dirs = []
         tau = 2.0 ** j
@@ -433,9 +417,9 @@ def _distance_subgradient_fields(F, ybar, cfg, pts_per_shell=10):
                     vals.append(g)
                 if gn >= tau:
                     dirs.append(g / gn)
-        clusters.append(_cluster_rows(vals, 0.05))
+        values.append(vals)
         big.append(np.array(dirs) if dirs else np.zeros((0, dim)))
-    return clusters, big, sampled
+    return values, big
 
 
 def mordukhovich_criterion(F, ybar, cfg):
@@ -474,10 +458,9 @@ def mordukhovich_criterion(F, ybar, cfg):
 
     report["openness"] = _openness_probe(F, ybar, cfg).to_json()
 
-    clusters, big, sampled = _distance_subgradient_fields(F, ybar, cfg)
+    values, big = _distance_subgradient_fields(F, ybar, cfg)
     window = cfg.persistence_window
-    f_points = _persistent_points(clusters, window, 0.05) \
-        if any(sampled[-window:]) else []
+    f_points = limit_points(values, 0.05, window)
     report["f_set"] = [p.tolist() for p in f_points]
     if math.isfinite(ell_star):
         bound = math.sqrt(ell_star ** 2 + 1.0) * 1.1 + 0.05
@@ -491,21 +474,12 @@ def mordukhovich_criterion(F, ybar, cfg):
     # blow-up directions of grad d_F: tail-persistent ones mean the
     # singular set is nontrivial
     dim = F.n + F.m
-    cands = [d for arr in big for d in arr]
-    cands = dedup_directions(np.array(cands), cfg.ang_tol / 2.0) \
-        if cands else np.zeros((0, dim))
-    persistent = []
-    for c in cands:
-        ok = True
-        for arr in big[-window:]:
-            if len(arr) == 0 or \
-                    float(np.max(arr @ c)) < math.cos(cfg.ang_tol):
-                ok = False
-                break
-        if ok:
-            persistent.append(c)
-    sing = canonicalize(persistent, dim, nonempty=True) if persistent \
-        else RayCone.zero(dim)
+    cands = dedup_directions(np.vstack(big), cfg.ang_tol / 2.0)
+    mask, _ = _persistent_mask(cands, big, [False] * len(big),
+                               [len(a) > 0 for a in big], len(big) - 1,
+                               window, math.cos(cfg.ang_tol))
+    sing = canonicalize(list(cands[mask]), dim, nonempty=True) \
+        if mask.any() else RayCone.zero(dim)
     report["f_singular"] = sing.to_json()
     report["f_singular_trivial"] = sing.is_zero
     return slice_verdict, report

@@ -66,6 +66,13 @@ class TestBasics:
     def test_usage_error(self, capsys):
         assert main(["no-such-command"]) == 2
 
+    def test_total_flag_rejected(self, problem_file, capsys):
+        # the total cone is --at-infinity without --ybar; there is no flag
+        code, _, err = run(capsys, "normal-cone", "--problem", problem_file,
+                           "--set", "Half", "--at-infinity", "--total")
+        assert code == 2
+        assert "--total" in err
+
 
 class TestCommands:
     def test_project(self, problem_file, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from infcone import dsl
 from infcone.cones import Status, cone_distance, contains_direction
-from infcone.limits import (ApproachSpec, contingent_cone,
+from infcone.limits import (ApproachSpec, contingent_cone, divergent,
                             frechet_normal_cone, limiting_normal_cone,
                             normal_cone_at_infinity_total, outer_limit)
 from infcone.sets import ClosedSet, SetError
@@ -119,3 +119,20 @@ class TestAtInfinity:
         assert contains_direction(res.cone, np.array([0.0, 1.0]), 0.05)
         assert contains_direction(res.cone, np.array([0.0, -1.0]), 0.05)
         assert not contains_direction(res.cone, np.array([1.0, 0.0]), 0.1)
+
+
+class TestDivergent:
+    def test_zerounionray_seed1_suprema(self):
+        # wellposed-zerounionray at seed 1: the ratio is about |x| / 0.01,
+        # so the worst radii grow with the suprema
+        sups = (239744.0, 509530.0, 780718.0)
+        assert divergent([None] + [(s, s / 100.0) for s in sups])
+
+    def test_constant_sup_not_divergent(self):
+        r = 1280.0
+        assert not divergent([(50.0, 1.9 * r), (50.0, 2.1 * r),
+                              (50.0, 4.1 * r)])
+
+    def test_too_few_sampled_shells(self):
+        assert not divergent([None, (20.0, 10.0), None, (1e6, 1e4), None])
+

@@ -1,4 +1,5 @@
-"""Property-based checks for the cone algebra and scalarization."""
+"""Property-based checks for the cone algebra, scalarization and the
+limit-point primitive."""
 
 import math
 
@@ -10,6 +11,7 @@ from infcone.cones import (canonicalize, cone_distance, contains_direction,
                            dedup_directions, in_convex_cone, polar_cone,
                            slice_hmap, hslice_distance, HSlice)
 from infcone.config import RunConfig
+from infcone.limits import _first_seen, limit_points
 from infcone.optimality import OrderingCone, scalarize
 
 CFG = RunConfig(shells=4, samples_per_shell=200, probes_per_level=40)
@@ -133,3 +135,57 @@ def test_double_polar_contains_generators(angles):
     for r in c.rays:
         assert dd.status == "rays" and \
             contains_direction(dd, r, 4.0 * dd.resolution + 0.01)
+
+
+def greedy_cluster(rows, mesh):
+    """Reference: first-seen clustering with a test against every rep."""
+    reps = []
+    for r in rows:
+        if not any(np.linalg.norm(r - q) <= mesh for q in reps):
+            reps.append(np.asarray(r, dtype=float))
+    return reps
+
+
+def greedy_persistent(shell_rows, mesh, window):
+    """Reference: pooled tail reps matched within 2*mesh in every shell."""
+    tail = [greedy_cluster(rows, mesh) for rows in shell_rows[-window:]]
+    cands = greedy_cluster([p for sh in tail for p in sh], mesh)
+    return [c for c in cands
+            if all(any(np.linalg.norm(c - p) <= 2 * mesh for p in sh)
+                   for sh in tail)]
+
+
+@st.composite
+def sampled_shells(draw):
+    """Shells of rows in 1-4 dims: exact multiples of mesh, duplicates,
+    magnitudes up to 1e3 (and a few beyond any exact cell index), and
+    empty shells."""
+    dim = draw(st.integers(1, 4))
+    mesh = draw(st.sampled_from([0.02, 0.05, 0.1, 0.3]))
+    value = st.one_of(
+        st.integers(-30, 30).map(lambda k: k * mesh),
+        st.floats(-3.0, 3.0, allow_nan=False),
+        st.floats(-1e3, 1e3, allow_nan=False),
+        st.sampled_from([1e20, -1e20]))
+    pool = draw(st.lists(st.lists(value, min_size=dim, max_size=dim),
+                         min_size=1, max_size=20))
+    shells = draw(st.lists(st.lists(st.sampled_from(pool), max_size=30),
+                           min_size=1, max_size=6))
+    rows = [np.array(sh, dtype=float).reshape(-1, dim) for sh in shells]
+    return rows, mesh, draw(st.integers(1, 4))
+
+
+def same_rows(a, b):
+    return len(a) == len(b) and all(np.array_equal(p, q)
+                                    for p, q in zip(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampled_shells())
+def test_limit_points_match_greedy_reference(case):
+    rows, mesh, window = case
+    for sh in rows:
+        assert same_rows(_first_seen(sh, mesh), greedy_cluster(sh, mesh))
+    assert same_rows(limit_points(rows, mesh, window),
+                     greedy_persistent(rows, mesh, window))
+

@@ -5,10 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from infcone.cones import INF
 from infcone.dsl import parse_problem
 from infcone.maps import MultiMap
-from infcone.wellposed import (check_nonsingularity, mordukhovich_criterion,
-                               well_posed_report)
+from infcone.suite import fixture_map
+from infcone.wellposed import (check_nonsingularity,
+                               estimate_regularity_modulus,
+                               mordukhovich_criterion, well_posed_report)
 from infcone.wellposed import test_inverse_lipschitz as inverse_lip_check
 from infcone.wellposed import test_linear_openness as openness_check
 from infcone.wellposed import test_lipschitz_like as lipschitz_like_check
@@ -73,6 +76,15 @@ class TestLipschitzLike:
         v = lipschitz_like_check(identity, 0.0, 1.1, fast_cfg,
                                  pts_per_shell=3)
         assert v.ok
+
+
+class TestRegularity:
+    def test_zerounionray_diverges_at_seed_1(self, cfg):
+        # dist(x, F^-1(y)) / dist(y, F(x)) is about |x| / 0.01; at seed 1
+        # the last suprema grow by only 1.53 from one shell to the next
+        est = estimate_regularity_modulus(fixture_map("ZeroUnionRay"),
+                                          [0.0], cfg.replace(seed=1))
+        assert est.value == INF
 
 
 class TestCriterionAndReport:
