@@ -19,6 +19,7 @@ from .grids import sphere_grid
 INF = float("inf")
 
 _ZERO_NORM = 1e-12
+_DEDUP_BLOCK = 512  # rows per prefilter product in dedup_directions
 
 
 class ConeError(ValueError):
@@ -186,15 +187,28 @@ def canonicalize(raw_dirs, dim, resolution=0.01, nonempty=False):
 
 
 def dedup_directions(dirs, resolution):
-    """Greedy first-seen angular dedup of an (k, d) array of unit rows."""
+    """Greedy first-seen angular dedup of an (k, d) array of unit rows.
+
+    One product per block of rows against the directions kept so far
+    drops the rows inside the angle by more than 1e-9 in cosine (far above
+    rounding), as the greedy test would; the rest take that test in order.
+    A kept NaN row makes every later greedy max NaN: in a block, the rows
+    from the first non-finite one on all take the test.
+    """
     cos_thr = math.cos(resolution)
     kept = np.empty_like(dirs)
     nk = 0
-    for d in dirs:
-        if nk and np.max(kept[:nk] @ d) > cos_thr:
-            continue
-        kept[nk] = d
-        nk += 1
+    for i in range(0, len(dirs), _DEDUP_BLOCK):
+        rows = dirs[i:i + _DEDUP_BLOCK]
+        if nk:
+            drop = np.max(rows @ kept[:nk].T, axis=1) > cos_thr + 1e-9
+            drop &= ~np.logical_or.accumulate(~np.isfinite(rows).all(axis=1))
+            rows = rows[~drop]
+        for d in rows:
+            if nk and np.max(kept[:nk] @ d) > cos_thr:
+                continue
+            kept[nk] = d
+            nk += 1
     return kept[:nk].copy()
 
 

@@ -205,29 +205,45 @@ def coderivative_at_infinity(F, ybar, cfg, method="frechet", label=""):
 _MIRROR = {"==": "==", "<=": ">=", "<": ">", ">=": "<=", ">": "<"}
 
 
-def _fiber_box(piece, pinned, free_idx, full0):
-    """(lo, hi) per free coordinate when the piece's fiber is a box.
+def _fiber_structure(piece, pinned, free_idx):
+    """How the piece's comparisons meet a pinned/free split (cached).
 
-    The piece qualifies when every comparison that touches a free
-    coordinate reads v_k op e or e op v_k, with v_k free and e a function
-    of the pinned block alone; strict operators count as closed, as in
-    dsl._eval_conj.  Returns None when some comparison does not qualify.
+    Returns (fixed, free_cis, bounds): the comparisons over the pinned
+    block alone, the other comparison indices, and, when the piece's
+    fiber is a box, one (k, op, e) per comparison that touches a free
+    coordinate, read as v op e for free column k and e a function of the
+    pinned block alone (else None).  Strict operators count as closed, as
+    in dsl._eval_conj.
     """
-    col = {int(k): j for j, k in enumerate(free_idx)}
-    lo = np.full(len(col), -np.inf)
-    hi = np.full(len(col), np.inf)
-    for c in piece.comparisons:
-        if not (free_vars(c.lhs) | free_vars(c.rhs)) & col.keys():
+    key = (frozenset(pinned), tuple(int(k) for k in free_idx))
+    hit = piece.fiber_cache.get(key)
+    if hit is not None:
+        return hit
+    col = {k: j for j, k in enumerate(key[1])}
+    fixed, free_cis, bounds = [], [], []
+    for ci, c in enumerate(piece.comparisons):
+        cvars = free_vars(c.lhs) | free_vars(c.rhs)
+        (fixed if cvars and cvars <= pinned else free_cis).append(ci)
+        if bounds is None or not cvars & col.keys():
             continue
         for v, op, e in ((c.lhs, c.op, c.rhs),
                          (c.rhs, _MIRROR[c.op], c.lhs)):
             if isinstance(v, Var) and v.idx in col \
                     and free_vars(e) <= pinned:
+                bounds.append((col[v.idx], op, e))
                 break
         else:
-            return None
+            bounds = None
+    hit = piece.fiber_cache[key] = (fixed, free_cis, bounds)
+    return hit
+
+
+def _fiber_box(bounds, n_free, full0):
+    """(lo, hi) per free coordinate of a box fiber at the pinned full0."""
+    lo = np.full(n_free, -np.inf)
+    hi = np.full(n_free, np.inf)
+    for k, op, e in bounds:
         b = dsl.eval_expr(e, full0)
-        k = col[v.idx]
         if op in ("==", "<=", "<"):
             hi[k] = np.minimum(hi[k], b)
         if op in ("==", ">=", ">"):
@@ -238,10 +254,10 @@ def _fiber_box(piece, pinned, free_idx, full0):
 def _pinned_min(S, pinned_idx, pinned_vals, free_idx, target, starts, cfg):
     """min |z - target| over z with the pinned/free coordinate split in S.
 
-    A piece whose fiber is a box (_fiber_box) offers the clip of target
-    into the box.  Other pieces, and clips that fail the residual check,
-    go to SLSQP from the points `starts()` returns; the callable runs at
-    most once, when the first piece needs it.
+    A piece whose fiber is a box (_fiber_structure) offers the clip of
+    target into the box.  Other pieces, and clips that fail the residual
+    check, go to SLSQP from the points `starts()` returns; the callable
+    runs at most once, when the first piece needs it.
 
     Returns (best_dist, best_point_free or None, residual).
     """
@@ -269,24 +285,19 @@ def _pinned_min(S, pinned_idx, pinned_vals, free_idx, target, starts, cfg):
         return float(np.linalg.norm(z - target)), z, resid
 
     for piece in S.pieces:
+        fixed, free_cis, bounds = _fiber_structure(piece, pinned, free_idx)
         # constant infeasibility in the pinned block rules the piece out
         ruled_out = False
-        free_cis = []
-        for ci, c in enumerate(piece.comparisons):
-            cvars = free_vars(c.lhs) | free_vars(c.rhs)
-            if not (cvars and cvars <= pinned):
-                free_cis.append(ci)
-                continue
+        for ci in fixed:
             g = float(piece.gval(ci, full0[None, :])[0])
-            viol = abs(g) if c.is_eq else max(g, 0.0)
+            viol = abs(g) if piece.comparisons[ci].is_eq else max(g, 0.0)
             if viol > 1e-9 * float(piece.rhs_scale(ci, full0[None, :])[0]):
                 ruled_out = True
                 break
         if ruled_out:
             continue
-        box = _fiber_box(piece, pinned, free_idx, full0)
-        if box is not None:
-            lo, hi = box
+        if bounds is not None:
+            lo, hi = _fiber_box(bounds, len(free_idx), full0)
             with np.errstate(invalid="ignore"):
                 tol = 1e-9 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
                 if np.any(lo - hi > tol):

@@ -91,9 +91,10 @@ class ProjectionResult:
 
 
 class Piece:
-    """One conjunction of comparisons, with cached gradient access."""
+    """One conjunction of comparisons; caches gradients and fiber structure."""
 
-    __slots__ = ("conj", "comparisons", "dim", "eq_idx", "ineq_idx")
+    __slots__ = ("conj", "comparisons", "dim", "eq_idx", "ineq_idx",
+                 "fiber_cache")
 
     def __init__(self, conj, dim):
         self.conj = conj
@@ -102,6 +103,7 @@ class Piece:
         self.eq_idx = [i for i, c in enumerate(self.comparisons) if c.is_eq]
         self.ineq_idx = [i for i, c in enumerate(self.comparisons)
                          if not c.is_eq]
+        self.fiber_cache = {}
 
     def gval(self, ci, P):
         with np.errstate(all="ignore"):
@@ -141,12 +143,15 @@ _LADDER = np.array([0.0, 0.0, 0.0, 0.0, 1e-3, 1e-4, 1e-5, 1e-6,
 _NEWTON_ITERS = 60
 _NEWTON_ACCEPT = 1e-10
 _ACT_TOL = 1e-6
+# consecutive rounds that accept nothing before a sampler gives up: the
+# region is empty or unreachable (no suite shell ever accepts after this)
+_DRY_ROUNDS = 4
 
 
-def _choose_columns(allowed, rng):
-    """Pick one True column per row uniformly at random; -1 when none."""
+def _choose_columns(allowed, u):
+    """Pick one True column per row by its uniform draw u; -1 when none."""
     counts = allowed.sum(axis=1)
-    target = np.floor(rng.random(allowed.shape[0]) * np.maximum(counts, 1))
+    target = np.floor(u * np.maximum(counts, 1))
     cs = np.cumsum(allowed, axis=1)
     col = np.argmax(cs > target[:, None], axis=1)
     return np.where(counts > 0, col, -1)
@@ -287,50 +292,57 @@ class ClosedSet:
         locked, gradient entry nonzero); that coordinate is then locked so
         later equalities vary a different one.  Returns a success mask
         (aligned with P); untouched rows report False.
+
+        Only the rows still moving are evaluated: per row, the arithmetic
+        and the random draw of a full-batch evaluation.
         """
         B = P.shape[0]
         succ = np.zeros(B, dtype=bool)
         if not rows.any():
             return succ
         target = np.broadcast_to(np.asarray(target, dtype=float), (B,))
-        scale = piece.rhs_scale(ci, P)
-        resid = piece.gval(ci, P) - target
-        # rows already on target need no column at all
-        done = rows & (np.abs(resid) <= _NEWTON_ACCEPT * scale)
-        succ |= done
-        active = rows & ~done
-        if not active.any():
+        idx = np.flatnonzero(rows)
+        Q = P.take(idx, axis=0)  # take: far cheaper than P[idx] on rows
+        resid = piece.gval(ci, Q) - target[idx]
+        # rows already on target need no Newton step (they still get a
+        # column, which is locked below)
+        done = np.abs(resid) <= _NEWTON_ACCEPT * piece.rhs_scale(ci, Q)
+        succ[idx[done]] = True
+        if done.all():
             return succ
-        G = piece.grad(ci, P)
-        allowed = np.isfinite(G) & (np.abs(G) > 1e-9) & ~locked
-        col = _choose_columns(allowed, rng)
-        active &= col >= 0
-        colc = np.maximum(col, 0)
-        ar = np.arange(B)
-        for _ in range(_NEWTON_ITERS):
-            if not active.any():
+        G = piece.grad(ci, Q)
+        col = _choose_columns(
+            np.isfinite(G) & (np.abs(G) > 1e-9) & ~locked.take(idx, axis=0),
+            rng.random(B)[idx])
+        keep = ~done & (col >= 0)
+        act, resid, colc = idx[keep], resid[keep], col[keep]
+        gc = G[keep, colc]
+        for it in range(_NEWTON_ITERS):
+            if not act.size:
                 break
-            resid = piece.gval(ci, P) - target
-            scale = piece.rhs_scale(ci, P)
-            conv = np.abs(resid) <= _NEWTON_ACCEPT * scale
-            newly = active & conv
-            succ |= newly
-            active &= ~conv
-            if not active.any():
-                break
-            G = piece.grad(ci, P)
-            gc = G[ar, colc]
+            if it:  # the first pass reuses the values computed above
+                Q = P.take(act, axis=0)
+                resid = piece.gval(ci, Q) - target[act]
+                conv = np.abs(resid) <= _NEWTON_ACCEPT \
+                    * piece.rhs_scale(ci, Q)
+                if conv.any():
+                    succ[act[conv]] = True
+                    if conv.all():
+                        break
+                    stay = ~conv
+                    act, resid, colc = act[stay], resid[stay], colc[stay]
+                    Q = Q.compress(stay, axis=0)
+                gc = piece.grad(ci, Q)[np.arange(act.size), colc]
             with np.errstate(all="ignore"):
                 step = resid / np.where(np.abs(gc) > 1e-14, gc, np.nan)
-            cap = 4.0 * (np.abs(P[ar, colc]) + np.abs(target) + 10.0)
-            bad = active & ~np.isfinite(step)
-            active &= ~bad
-            step = np.clip(step, -cap, cap)
-            upd = np.flatnonzero(active)
-            P[upd, colc[upd]] -= step[upd]
-        if succ.any():
-            good = np.flatnonzero(succ & (col >= 0))
-            locked[good, colc[good]] = True
+            fin = np.isfinite(step)
+            if not fin.all():
+                act, step, colc = act[fin], step[fin], colc[fin]
+            x = P[act, colc]
+            cap = 4.0 * (np.abs(x) + np.abs(target[act]) + 10.0)
+            P[act, colc] = x - np.clip(step, -cap, cap)
+        good = succ[idx] & (col >= 0)
+        locked[idx[good], col[good]] = True
         return succ
 
     def _repair_and_bias(self, piece, P, ok, locked, rng, bias):
@@ -376,8 +388,9 @@ class ClosedSet:
                       "%.6e" % shell.r_lo)
         per_piece = [[] for _ in self.pieces]
         got = 0
+        dry = 0
         for _ in range(cfg.max_rounds):
-            if got >= count:
+            if got >= count or dry >= _DRY_ROUNDS:
                 break
             B = int(min(max(256, 2 * (count - got)), 8192))
             for pi, piece in enumerate(self.pieces):
@@ -414,7 +427,9 @@ class ClosedSet:
                     ok &= rn <= shell.rho * (1.0 + 1e-9)
                 if ok.any():
                     per_piece[pi].append(P[ok])
-            got = sum(len(a) for lst in per_piece for a in lst)
+            new_got = sum(len(a) for lst in per_piece for a in lst)
+            dry = dry + 1 if new_got == got else 0
+            got = new_got
         merged = _interleave([np.vstack(lst) for lst in per_piece if lst])
         if merged is None:
             return np.zeros((0, dim))
@@ -465,9 +480,7 @@ class ClosedSet:
         dry = 0
         ycols = np.arange(n, n + m)
         for _ in range(cfg.max_rounds // 2):
-            if got >= count:
-                break
-            if dry >= 4:  # repeatedly empty: fiber is empty or unreachable
+            if got >= count or dry >= _DRY_ROUNDS:
                 break
             B = int(min(max(128, 2 * (count - got)), 4096))
             for piece in self.pieces:

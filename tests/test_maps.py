@@ -140,6 +140,18 @@ class TestFiberBox:
         assert dist_to_preimage(F, -0.05, x0, fast_cfg) == \
             pytest.approx(x0, rel=1e-12)
 
+    def test_structure_cached_per_split(self, fast_cfg, solver_calls):
+        # one piece, both splits: x pinned is a box, y pinned is not
+        F = make_map("v2 == v1^2")
+        for _ in range(2):
+            assert distance_to_image(F, 2.0, 1.0, fast_cfg) == \
+                pytest.approx(3.0, abs=1e-6)
+            assert solver_calls["minimize"] == 0
+        assert dist_to_preimage(F, 4.0, 0.0, fast_cfg) == \
+            pytest.approx(2.0, abs=1e-6)
+        assert solver_calls["minimize"] > 0
+        assert len(F.graph.pieces[0].fiber_cache) == 2
+
     def test_empty_box(self, fast_cfg, solver_calls):
         F = make_map("v2 >= v1 && v2 <= 0")
         assert distance_to_image(F, 1.0, 0.0, fast_cfg) == INF

@@ -2,11 +2,12 @@
 limit-point primitive."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from infcone import dsl
+from infcone import cones, dsl
 from infcone.cones import (canonicalize, cone_distance, contains_direction,
                            dedup_directions, in_convex_cone, polar_cone,
                            slice_hmap, hslice_distance, HSlice)
@@ -189,3 +190,56 @@ def test_limit_points_match_greedy_reference(case):
     assert same_rows(limit_points(rows, mesh, window),
                      greedy_persistent(rows, mesh, window))
 
+
+
+def greedy_dedup(dirs, resolution):
+    """Reference: the per-row greedy test against every kept direction."""
+    cos_thr = math.cos(resolution)
+    kept = np.empty_like(dirs)
+    nk = 0
+    for d in dirs:
+        if nk and np.max(kept[:nk] @ d) > cos_thr:
+            continue
+        kept[nk] = d
+        nk += 1
+    return kept[:nk].copy()
+
+
+@st.composite
+def direction_rows(draw):
+    """Unit rows in 2-4 dims: fresh directions, rows turned from an earlier
+    row by the resolution to within 1e-12 or by half of it, duplicates and
+    NaN rows; with a prefilter block size."""
+    dim = draw(st.integers(2, 4))
+    resolution = draw(st.sampled_from([0.005, 0.05, 0.3]))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["new", "edge", "near", "dup",
+                                               "nan"]), max_size=80)):
+        if kind == "new" or not rows:
+            d = gen.standard_normal(dim)
+        elif kind == "dup":
+            d = rows[gen.integers(len(rows))]
+        elif kind == "nan":
+            d = np.full(dim, np.nan)
+        else:
+            base = rows[gen.integers(len(rows))]
+            u = gen.standard_normal(dim)
+            u -= (u @ base) * base
+            t = resolution / 2.0 if kind == "near" else resolution \
+                + draw(st.sampled_from([-1e-12, 0.0, 1e-12]))
+            d = math.cos(t) * base + math.sin(t) * u / np.linalg.norm(u)
+        with np.errstate(invalid="ignore"):
+            rows.append(d / np.linalg.norm(d))
+    dirs = np.array(rows, dtype=float).reshape(-1, dim)
+    return dirs, resolution, draw(st.sampled_from([1, 3, 7, 512]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(direction_rows())
+def test_dedup_matches_greedy_reference(case):
+    dirs, resolution, block = case
+    with mock.patch.object(cones, "_DEDUP_BLOCK", block):
+        got = dedup_directions(dirs, resolution)
+    want = greedy_dedup(dirs, resolution)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

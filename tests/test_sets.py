@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from infcone import dsl
-from infcone.sets import (ClosedSet, SetError, Shell, epigraph_set,
-                          full_space, graph_of_function, indicator_graph,
+from infcone.config import RunConfig
+from infcone.sets import (_NEWTON_ACCEPT, _NEWTON_ITERS, ClosedSet,
+                          SetError, Shell, epigraph_set, full_space,
+                          graph_of_function, indicator_graph,
                           intersection_set, points_to_csv, product_set)
 
 
@@ -72,6 +74,128 @@ class TestSampling:
             Shell((0,), 5.0, 2.0)
         with pytest.raises(SetError):
             Shell((), 1.0, 2.0)
+
+    def test_empty_shell_stops_after_dry_rounds(self, monkeypatch):
+        # ex-expepi.ym1: v2 >= exp(v1) > 0 never meets the y-ball at -1
+        S = ClosedSet(2, pred=dsl.parse_predicate("v2 >= exp(v1)", 2),
+                      split=(1, 1), name="ExpEpigraph")
+        calls = []
+        repair = ClosedSet._repair_and_bias
+
+        def counted(self, *args):
+            calls.append(1)
+            return repair(self, *args)
+
+        monkeypatch.setattr(ClosedSet, "_repair_and_bias", counted)
+        cfg = RunConfig()
+        empty = Shell((0,), 10.0, 20.0, center=np.array([-1.0]), rho=0.5)
+        assert len(S.sample_shell(empty, 2000, cfg)) == 0
+        assert len(calls) == 4 * len(S.pieces)  # 4 dry rounds, of 40
+        full = Shell((0,), 10.0, 20.0, center=np.array([1.0]), rho=0.5)
+        P = S.sample_shell(full, 2000, cfg)
+        assert len(P) == 2000
+        assert (S.status(P) >= dsl.BOUNDARY).all()
+
+
+def _newton_reference(piece, ci, P, rows, locked, rng, target):
+    """Newton repair evaluating every row of P on every iteration."""
+    B = P.shape[0]
+    succ = np.zeros(B, dtype=bool)
+    if not rows.any():
+        return succ
+    target = np.broadcast_to(np.asarray(target, dtype=float), (B,))
+    scale = piece.rhs_scale(ci, P)
+    resid = piece.gval(ci, P) - target
+    done = rows & (np.abs(resid) <= _NEWTON_ACCEPT * scale)
+    succ |= done
+    active = rows & ~done
+    if not active.any():
+        return succ
+    G = piece.grad(ci, P)
+    allowed = np.isfinite(G) & (np.abs(G) > 1e-9) & ~locked
+    counts = allowed.sum(axis=1)
+    pick = np.floor(rng.random(B) * np.maximum(counts, 1))
+    col = np.argmax(np.cumsum(allowed, axis=1) > pick[:, None], axis=1)
+    col = np.where(counts > 0, col, -1)
+    active &= col >= 0
+    colc = np.maximum(col, 0)
+    ar = np.arange(B)
+    for _ in range(_NEWTON_ITERS):
+        if not active.any():
+            break
+        resid = piece.gval(ci, P) - target
+        scale = piece.rhs_scale(ci, P)
+        conv = np.abs(resid) <= _NEWTON_ACCEPT * scale
+        succ |= active & conv
+        active &= ~conv
+        if not active.any():
+            break
+        gc = piece.grad(ci, P)[ar, colc]
+        with np.errstate(all="ignore"):
+            step = resid / np.where(np.abs(gc) > 1e-14, gc, np.nan)
+        cap = 4.0 * (np.abs(P[ar, colc]) + np.abs(target) + 10.0)
+        active &= np.isfinite(step)
+        step = np.clip(step, -cap, cap)
+        upd = np.flatnonzero(active)
+        P[upd, colc[upd]] -= step[upd]
+    if succ.any():
+        good = np.flatnonzero(succ & (col >= 0))
+        locked[good, colc[good]] = True
+    return succ
+
+
+def _on_target_parabola(P):
+    P[:, 1] = P[:, 0] ** 2
+
+
+def _on_target_exp(P):
+    P[:, 1] = np.exp(P[:, 0])
+
+
+def _on_target_3d(P):
+    P[:, 2] = (2.0 - np.sin(P[:, 1])) / P[:, 0]
+
+
+def _on_target_cubic(P):
+    P[:, 1] = -P[:, 0] ** 3 - P[:, 0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("text,dim,on_target", [
+    ("v2 == v1^2", 2, _on_target_parabola),
+    ("exp(v1) <= v2", 2, _on_target_exp),
+    ("v1 * v3 + sin(v2) == 2", 3, _on_target_3d),
+    # every row converges, at different iterations
+    ("v1^3 + v1 + v2 == 0", 2, _on_target_cubic),
+])
+def test_newton_matches_full_row_reference(text, dim, on_target, seed):
+    S = make_set(text, dim)
+    gen = np.random.default_rng(seed)
+    B = 300
+    P0 = gen.standard_normal((B, dim)) * gen.choice([1.0, 30.0, 800.0],
+                                                   (B, dim))
+    start = gen.random(B) < 0.2
+    with np.errstate(all="ignore"):
+        on = P0.copy()
+        on_target(on)
+    P0[start] = on[start]
+    rows = gen.random(B) < 0.7
+    locked0 = gen.random((B, dim)) < 0.3
+    locked0[gen.random(B) < 0.05] = True  # rows with no free column
+    target = 0.0 if seed % 2 else \
+        np.where(start, 0.0, -gen.choice([0.0, 1e-3, 1e-8], B))
+    out = []
+    for newton in (S._newton_to, _newton_reference):
+        P, locked = P0.copy(), locked0.copy()
+        rng = np.random.default_rng([seed, 7])
+        succ = newton(S.pieces[0], 0, P, rows.copy(), locked, rng, target)
+        out.append((succ, P, locked, rng.bit_generator.state))
+    (s1, P1, l1, r1), (s2, P2, l2, r2) = out
+    assert (s1 & start).any() and (s1 & ~start).any() and not s1.all()
+    assert np.array_equal(s1, s2)
+    assert P1.tobytes() == P2.tobytes()
+    assert np.array_equal(l1, l2)
+    assert r1 == r2
 
 
 class TestProjection:
