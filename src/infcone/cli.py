@@ -73,16 +73,14 @@ def _build_cfg(args, prob=None):
     threads = getattr(args, "threads", None)
     if threads is None:
         env = os.environ.get("INFCONE_THREADS")
-        threads = int(env) if env else (os.cpu_count() or 1)
+        threads = int(env) if env else cfg.threads
     return cfg.replace(threads=threads)
 
 
 def _get_set(prob, name, split=None):
     if name not in prob.sets:
         raise SetError("no set named %r in the problem" % name)
-    sd = prob.sets[name]
-    return ClosedSet(sd.dim, pred=sd.pred, split=split,
-                     unbounded=sd.unbounded, name=sd.name)
+    return ClosedSet.from_setdef(prob.sets[name], split=split)
 
 
 def _get_map(prob, name):
@@ -128,7 +126,9 @@ def _cmd_project(args, prob, cfg):
         res = S.project(_vec(args.point), cfg)
         return res.to_json(), []
     except ProjectionFailure as e:
-        return {"error": str(e), "best_residual": e.best_residual}, \
+        resid = e.best_residual
+        return {"error": str(e),
+                "best_residual": resid if np.isfinite(resid) else "inf"}, \
             ["Inconclusive"]
 
 
@@ -224,10 +224,8 @@ def _cmd_fermat(args, prob, cfg):
     if args.cone not in prob.cones:
         raise SetError("no cone named %r in the problem" % args.cone)
     K = OrderingCone.from_conedef(prob.cones[args.cone])
-    out = fermat_certificate(F, omega, K, _vec(args.ybar), cfg)
-    if hasattr(out, "c_star"):
-        return {"certificate": out.to_json()}, ["Pass"]
-    payload = {"verdict": out.to_json()}
+    payload = {"verdict": fermat_certificate(F, omega, K, _vec(args.ybar),
+                                             cfg).to_json()}
     acc = []
     _collect_statuses(payload, acc)
     return payload, acc

@@ -203,10 +203,6 @@ def _ev(e, p):
 # Symbolic differentiation (chain-rule tables) with light simplification
 
 
-def _num(v):
-    return Num(v)
-
-
 def _add(a, b):
     if isinstance(a, Num) and a.val == 0.0:
         return b

@@ -27,7 +27,7 @@ class ApproachSpec:
     """How base points approach the limit: a sampler per shell level.
 
     sampler(j) returns the shell-j base points; levels is the number of
-    shells.  The constructors below cover the three approach modes.
+    shells.  The constructors below cover the two approach modes.
     """
 
     __slots__ = ("mode", "dim", "sampler", "levels")
@@ -65,23 +65,6 @@ class ApproachSpec:
 
         return cls("to_infinity", S.dim, sampler, cfg.shells)
 
-    @classmethod
-    def to_point(cls, x, cfg, label="", levels=None, start_level=3):
-        """Probe points in shrinking balls around x (not necessarily in S)."""
-        x = np.asarray(x, dtype=float)
-        dim = x.shape[0]
-        levels = levels if levels is not None else cfg.shells
-
-        def sampler(j):
-            rng = cfg.rng("topoint", label, j)
-            d = cfg.delta(start_level + j)
-            u = rng.standard_normal((cfg.probes_per_level, dim))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            rad = d * rng.random(cfg.probes_per_level) ** (1.0 / dim)
-            return x + u * rad[:, None]
-
-        return cls("to_point", dim, sampler, levels)
-
 
 class LimsupResult:
     __slots__ = ("cone", "persistence", "shells_used", "converged",
@@ -115,38 +98,47 @@ def _normalize_field_output(out, dim):
     return dirs, False
 
 
-def _persistent_mask(cands, shell_dirs, shell_full, sampled, last, window,
-                     cos_thr):
-    """Which candidates are matched in a tail run ending at shell `last`.
+def _match_matrix(cands, shell_dirs, shell_full, cos_thr):
+    """(shells x candidates) bool: does shell j match candidate i.
 
     A shell matches a candidate when it is full-flagged or contains a
-    direction within the angular tolerance; the run must have length >=
-    window.  Returns (mask, runs) where runs[i] is the list of matched
-    shell indices of candidate i's tail run (empty when not persistent).
+    direction within the angular tolerance (cos_thr = cos(ang_tol)).
     """
-    k = len(cands)
-    mask = np.zeros(k, dtype=bool)
-    runs = [[] for _ in range(k)]
-    if k == 0 or last < window - 1:
-        return mask, runs
-    matched = np.zeros((last + 1, k), dtype=bool)
-    for j in range(last + 1):
-        if not sampled[j]:
-            continue
-        if shell_full[j]:
+    matched = np.zeros((len(shell_dirs), len(cands)), dtype=bool)
+    for j, (dirs, full) in enumerate(zip(shell_dirs, shell_full)):
+        if full:
             matched[j, :] = True
-        elif len(shell_dirs[j]):
-            matched[j] = np.max(cands @ shell_dirs[j].T, axis=1) >= cos_thr
-    for i in range(k):
-        run = 0
-        j = last
-        while j >= 0 and matched[j, i]:
-            run += 1
-            j -= 1
-        if run >= window:
-            mask[i] = True
-            runs[i] = list(range(j + 1, last + 1))
+        elif len(dirs):
+            matched[j] = np.max(cands @ dirs.T, axis=1) >= cos_thr
+    return matched
+
+
+def _tail_runs(matched, last, window):
+    """Which candidates are matched in a tail run ending at shell `last`.
+
+    The run must have length >= window.  Returns (mask, runs) where
+    runs[i] is the list of matched shell indices of candidate i's tail
+    run (empty when not persistent).
+    """
+    run = np.zeros(matched.shape[1], dtype=int)
+    alive = np.ones(matched.shape[1], dtype=bool)
+    for j in range(last, -1, -1):
+        alive &= matched[j]
+        run += alive
+    mask = run >= window
+    runs = [list(range(last + 1 - r, last + 1)) if ok else []
+            for r, ok in zip(run.tolist(), mask.tolist())]
     return mask, runs
+
+
+def _tail_cone(cands, mask, tail_sampled, dim):
+    """Empty when the tail saw no samples, ZeroOnly when nothing persists,
+    else the canonical cone of the persistent candidates."""
+    if not tail_sampled:
+        return RayCone.empty(dim)
+    if not mask.any():
+        return RayCone.zero(dim)
+    return canonicalize(cands[mask], dim, nonempty=True)
 
 
 def _cells(X, side):
@@ -189,7 +181,7 @@ def limit_points(shell_rows, mesh, window):
     Each tail shell's rows are clustered first-seen at radius mesh, their
     pooled representatives again, and a pooled one persists when every
     tail shell has a representative within 2*mesh.  The point-side twin
-    of _persistent_mask; returns the persistent points in first-seen order.
+    of _tail_runs; returns the persistent points in first-seen order.
     """
     tail = [_first_seen(rows, mesh) for rows in shell_rows[-window:]]
     pooled = _first_seen([p for reps in tail for p in reps], mesh)
@@ -265,22 +257,14 @@ def outer_limit(field, approach, cfg):
         cands = dedup_directions(cands, cfg.ang_tol / 2.0)
     cos_thr = np.cos(cfg.ang_tol)
 
-    mask, runs = _persistent_mask(cands, shell_dirs, shell_full, sampled,
-                                  J - 1, window, cos_thr)
-    tail_sampled = any(sampled[J - window:])
+    matched = _match_matrix(cands, shell_dirs, shell_full, cos_thr)
+    mask, runs = _tail_runs(matched, J - 1, window)
+    cone = _tail_cone(cands, mask, any(sampled[J - window:]), dim)
     diagnostics = {"samples_per_shell": counts,
                    "candidates": int(len(cands))}
-
-    if not tail_sampled:
-        cone = RayCone.empty(dim)
-        persistence = []
-    elif not mask.any():
-        cone = RayCone.zero(dim)
-        persistence = []
-    else:
-        cone = canonicalize(cands[mask], dim, nonempty=True)
-        # map kept canonical rays back to candidate persistence runs
-        persistence = []
+    # map kept canonical rays back to candidate persistence runs
+    persistence = []
+    if cone.status == Status.RAYS:
         kept_idx = np.flatnonzero(mask)
         for ray in cone.rays:
             best = kept_idx[int(np.argmax(cands[kept_idx] @ ray))]
@@ -288,27 +272,12 @@ def outer_limit(field, approach, cfg):
 
     # convergence: drop the last shell, recompute, compare; also flag
     # directions that matched part of the final window without persisting
-    prev_mask, _ = _persistent_mask(cands, shell_dirs, shell_full, sampled,
-                                    J - 2, window, cos_thr)
-    prev_tail = any(sampled[max(J - 1 - window, 0):J - 1])
-    if not prev_tail:
-        prev = RayCone.empty(dim)
-    elif not prev_mask.any():
-        prev = RayCone.zero(dim)
-    else:
-        prev = canonicalize(cands[prev_mask], dim, nonempty=True)
+    prev_mask, _ = _tail_runs(matched, J - 2, window)
+    prev = _tail_cone(cands, prev_mask,
+                      any(sampled[max(J - 1 - window, 0):J - 1]), dim)
     drift = cone_distance(prev, cone)
-    flicker = False
-    if len(cands):
-        recent = np.zeros(len(cands), dtype=bool)
-        for j in range(max(J - window, 0), J):
-            if not sampled[j]:
-                continue
-            if shell_full[j]:
-                recent[:] = True
-            elif len(shell_dirs[j]):
-                recent |= np.max(cands @ shell_dirs[j].T, axis=1) >= cos_thr
-        flicker = bool(np.any(recent & ~mask))
+    recent = matched[max(J - window, 0):J].any(axis=0)
+    flicker = bool(np.any(recent & ~mask))
     converged = drift <= 2.0 * cfg.ang_tol and not flicker
     diagnostics["drift"] = None if np.isinf(drift) else float(drift)
     diagnostics["flicker"] = flicker

@@ -46,15 +46,6 @@ class MultiMap:
         """Single-valued map x -> {f(x)} through the function's graph."""
         return cls(fd.n, 1, graph_of_function(fd), name=fd.name)
 
-    @classmethod
-    def single_valued(cls, exprs, n, name=""):
-        """Map x -> {(e_1(x), ..., e_m(x))} from value expressions."""
-        m = len(exprs)
-        cmps = [Comparison(e, "==", Var(n + j)) for j, e in enumerate(exprs)]
-        pred = Predicate([Conj(cmps)], n + m)
-        g = ClosedSet(n + m, pred=pred, split=(n, m), name="gph " + name)
-        return cls(n, m, g, name=name)
-
     def __repr__(self):
         return "MultiMap(%r, %d->%d)" % (self.name, self.n, self.m)
 

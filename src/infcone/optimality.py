@@ -213,16 +213,16 @@ def check_weak_efficient(F, omega, K, ybar, cfg, margin=0.02):
                           note=_BUDGET_NOTE)
 
 
-def check_cq_infinity(F, omega, ybar, cfg):
-    """Constraint qualification: D*F(inf,ybar)(0) meets -N_omega(inf) at 0."""
-    ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
-    cod = _constrained_coderivative(F, omega, ybar, cfg, "cq")
+def _cq_verdict(cod, nom, n, m, cfg):
+    """CQ verdict from the constrained coderivative and the Omega cone.
+
+    cod and nom are the outer-limit results of _constrained_coderivative
+    and normal_cone_at_infinity_total; the cones go into the diagnostics.
+    """
     if cod.cone.is_empty:
         return Verdict.inconclusive("coderivative cone empty at infinity")
-    s0 = _slice_cone(slice_hmap(cod.cone, np.zeros(F.m), cfg.ang_tol, F.m),
-                     F.n)
-    nom = normal_cone_at_infinity_total(omega, cfg, label="cqO")
-    diag = {"slice0_cone": s0.to_json(), "omega_cone": nom.cone.to_json()}
+    s0 = _slice_cone(slice_hmap(cod.cone, np.zeros(m), cfg.ang_tol, m), n)
+    diag = {"slice0_cone": s0, "omega_cone": nom.cone}
     if nom.cone.is_empty:
         return Verdict.inconclusive("constraint-set cone empty at infinity",
                                     **diag)
@@ -234,32 +234,16 @@ def check_cq_infinity(F, omega, ybar, cfg):
     return Verdict.passed(**diag)
 
 
+def check_cq_infinity(F, omega, ybar, cfg):
+    """Constraint qualification: D*F(inf,ybar)(0) meets -N_omega(inf) at 0."""
+    ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
+    cod = _constrained_coderivative(F, omega, ybar, cfg, "cq")
+    nom = normal_cone_at_infinity_total(omega, cfg, label="cqO")
+    return _cq_verdict(cod, nom, F.n, F.m, cfg)
+
+
 # ---------------------------------------------------------------------------
 # Fermat certificate
-
-
-class FermatCertificate:
-    __slots__ = ("c_star", "u", "w", "residual", "preconditions",
-                 "diagnostics")
-
-    def __init__(self, c_star, u, w, residual, preconditions=None,
-                 diagnostics=None):
-        self.c_star = np.asarray(c_star, dtype=float)
-        self.u = np.asarray(u, dtype=float)
-        self.w = np.asarray(w, dtype=float)
-        self.residual = float(residual)
-        self.preconditions = preconditions or {}
-        self.diagnostics = diagnostics or {}
-
-    def __repr__(self):
-        return "FermatCertificate(c*=%s, residual=%.3g)" % (
-            self.c_star.tolist(), self.residual)
-
-    def to_json(self):
-        return {"c_star": self.c_star.tolist(), "u": self.u.tolist(),
-                "w": self.w.tolist(), "residual": self.residual,
-                "preconditions": self.preconditions,
-                "diagnostics": self.diagnostics}
 
 
 def _candidate_grid(K, cfg):
@@ -325,33 +309,76 @@ def _certificate_residual(chat, K, e, cone, nom, n, m, cfg):
     return best
 
 
-def fermat_certificate(F, omega, K, ybar, cfg, tol=0.05,
-                       preconditions=None):
-    """Search for the Fermat-rule certificate at infinity.
+def _refine_direction(chat, score0, score_at, K, cfg, name):
+    """A unit candidate near chat whose score is at most score0.
 
-    Requires the weak-efficiency and CQ falsifiers to pass first (run
-    here unless their verdicts are supplied).  Scans the normalization
-    slice of K+ for c* whose coderivative slice meets -N_omega(inf),
-    refines the best candidate, and returns a FermatCertificate; a
-    Verdict explains refusal or an exhausted search.
+    In the plane: golden-section search on the angle within 1.5 degrees.
+    In 3+ dimensions: six rounds of 60 random probes at halving radii.
+    """
+    m = K.m
+    if m == 2:
+        th0 = math.atan2(chat[1], chat[0])
+        gr = (math.sqrt(5.0) - 1.0) / 2.0
+        fcache = {}
+
+        def fval(t):
+            if t not in fcache:
+                fcache[t] = score_at(np.array([math.cos(t), math.sin(t)]))
+            return fcache[t]
+
+        a, b = th0 - math.radians(1.5), th0 + math.radians(1.5)
+        c1 = b - gr * (b - a)
+        c2 = a + gr * (b - a)
+        for _ in range(40):
+            if fval(c1) <= fval(c2):
+                b, c2 = c2, c1
+                c1 = b - gr * (b - a)
+            else:
+                a, c1 = c1, c2
+                c2 = a + gr * (b - a)
+        tbest = min(fcache, key=fcache.get)
+        if fcache[tbest] <= score0:
+            return np.array([math.cos(tbest), math.sin(tbest)])
+    elif m >= 3:
+        rng = cfg.rng("fermat-refine", name)
+        radius = 0.03
+        for _ in range(6):
+            probes = chat + radius * rng.standard_normal((60, m))
+            probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+            probes = probes[np.min(probes @ K.generators.T, axis=1) >= -0.01]
+            for p in probes:
+                s = score_at(p)
+                if s < score0:
+                    score0, chat = s, np.asarray(p, dtype=float)
+            radius *= 0.5
+    return chat
+
+
+def fermat_certificate(F, omega, K, ybar, cfg, tol=0.05):
+    """The Fermat rule at infinity in one pass, as one Verdict.
+
+    Runs the weak-efficiency falsifier, builds the constrained
+    coderivative cone and the Omega cone at infinity once, and reads the
+    CQ verdict off those two cones.  If either precondition does not
+    pass, the answer is Inconclusive.  Otherwise scans the normalization
+    slice of K+ for c* whose coderivative slice meets -N_omega(inf) and
+    refines the best candidate: Pass carries c_star, u, w and residual in
+    its diagnostics, Fail the best residual found.  Every outcome lists
+    both precondition verdicts and the Omega cone.
     """
     ybar = np.asarray(ybar, dtype=float).reshape(K.m)
-    if preconditions is None:
-        preconditions = {
-            "weak_efficient": check_weak_efficient(F, omega, K, ybar, cfg),
-            "cq_infinity": check_cq_infinity(F, omega, ybar, cfg),
-        }
-    pre_json = {k: v.to_json() for k, v in preconditions.items()}
-    for name, v in preconditions.items():
-        if not v.ok:
-            return Verdict.inconclusive("precondition not passed: " + name,
-                                        preconditions=pre_json)
-    cone = _constrained_coderivative(F, omega, ybar, cfg, "fermat").cone
-    if cone.is_empty:
-        return Verdict.inconclusive("coderivative cone empty at infinity",
-                                    preconditions=pre_json)
+    weff = check_weak_efficient(F, omega, K, ybar, cfg)
+    cod = _constrained_coderivative(F, omega, ybar, cfg, "fermat")
     nomr = normal_cone_at_infinity_total(omega, cfg, label="fermatO")
-    nom = nomr.cone
+    pre = {"weak_efficient": weff,
+           "cq_infinity": _cq_verdict(cod, nomr, F.n, F.m, cfg)}
+    cone, nom = cod.cone, nomr.cone
+    diag = {"preconditions": pre, "omega_cone": nom,
+            "omega_converged": nomr.converged}
+    failing = [name for name, v in pre.items() if not v.ok]
+    if failing:
+        return Verdict.inconclusive(
+            "precondition not passed: " + ", ".join(failing), **diag)
     n, m = F.n, F.m
     kgen = K.generators
     grid = _candidate_grid(K, cfg)
@@ -374,8 +401,7 @@ def fermat_certificate(F, omega, K, ybar, cfg, tol=0.05,
     if not scored:
         return Verdict.failed(
             {"note": "no certificate on the candidate grid; per the "
-             "theory this indicates tolerance or budget failure"},
-            preconditions=pre_json)
+             "theory this indicates tolerance or budget failure"}, **diag)
     # Among candidates within tolerance prefer the one whose coderivative
     # value u is largest: trivial u = 0 certificates coexist with the
     # informative one whenever the graph cone has a purely vertical ray.
@@ -388,52 +414,12 @@ def fermat_certificate(F, omega, K, ybar, cfg, tol=0.05,
     else:
         best = min(scored, key=lambda s: s[0])
     chat = np.asarray(best[1], dtype=float)
-    # local refinement of the candidate direction (not needed when the
-    # candidate came straight off a cone ray: alignment is already exact)
-    if best[0] - best[4] <= 1e-9:
-        pass
-    elif m == 2:
-        th0 = math.atan2(chat[1], chat[0])
-        lo, hi = th0 - math.radians(1.5), th0 + math.radians(1.5)
-        gr = (math.sqrt(5.0) - 1.0) / 2.0
-        fcache = {}
-
-        def fval(t):
-            if t not in fcache:
-                ct = np.array([math.cos(t), math.sin(t)])
-                fcache[t] = _certificate_residual(ct, K, K.e, cone, nom,
-                                                  n, m, cfg)[0]
-            return fcache[t]
-
-        a, b = lo, hi
-        c1 = b - gr * (b - a)
-        c2 = a + gr * (b - a)
-        for _ in range(40):
-            if fval(c1) <= fval(c2):
-                b, c2 = c2, c1
-                c1 = b - gr * (b - a)
-            else:
-                a, c1 = c1, c2
-                c2 = a + gr * (b - a)
-        tbest = min(fcache, key=fcache.get)
-        cand = np.array([math.cos(tbest), math.sin(tbest)])
-        if _certificate_residual(cand, K, K.e, cone, nom, n, m, cfg)[0] \
-                <= best[0]:
-            chat = cand
-    elif m >= 3:
-        rng = cfg.rng("fermat-refine", F.name)
-        radius = 0.03
-        for _ in range(6):
-            probes = chat + radius * rng.standard_normal((60, m))
-            probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-            probes = probes[np.min(probes @ kgen.T, axis=1) >= -0.01]
-            for p in probes:
-                s = _certificate_residual(p, K, K.e, cone, nom, n, m,
-                                          cfg)[0]
-                if s < best[0]:
-                    best = (s, p) + best[2:]
-                    chat = np.asarray(p, dtype=float)
-            radius *= 0.5
+    # refine the candidate direction unless its score is the residual
+    # alone: then it came straight off a cone ray, aligned exactly
+    if best[0] - best[4] > 1e-9:
+        chat = _refine_direction(
+            chat, best[0], lambda p: _certificate_residual(
+                p, K, K.e, cone, nom, n, m, cfg)[0], K, cfg, F.name)
     score, u, w, resid = _certificate_residual(chat, K, K.e, cone, nom,
                                                n, m, cfg)
     if u is None or resid > tol:
@@ -442,10 +428,6 @@ def fermat_certificate(F, omega, K, ybar, cfg, tol=0.05,
              "tolerance; per the theory this indicates tolerance or "
              "budget failure",
              "best_residual": None if resid == INF else float(resid)},
-            preconditions=pre_json)
-    c_star = chat / float(np.dot(chat, K.e))
-    return FermatCertificate(
-        c_star, u, w, resid, preconditions=pre_json,
-        diagnostics={"score": float(score),
-                     "omega_cone": nom.to_json(),
-                     "omega_converged": nomr.converged})
+            **diag)
+    return Verdict.passed(c_star=chat / float(np.dot(chat, K.e)), u=u, w=w,
+                          residual=float(resid), score=float(score), **diag)

@@ -201,8 +201,9 @@ class ClosedSet:
             self.pieces = []
 
     @classmethod
-    def from_setdef(cls, sd):
-        return cls(sd.dim, pred=sd.pred, unbounded=sd.unbounded, name=sd.name)
+    def from_setdef(cls, sd, split=None):
+        return cls(sd.dim, pred=sd.pred, split=split, unbounded=sd.unbounded,
+                   name=sd.name)
 
     def __repr__(self):
         kind = "discrete" if self.discrete else "%d pieces" % len(self.pieces)
@@ -474,7 +475,7 @@ class ClosedSet:
                 return np.array([[y]])
             return np.zeros((0, m))
         rng = cfg.rng("fiber", self.name, label,
-                      "%.9e" % float(np.sum(xval)), "%.6e" % radius)
+                      np.round(xval, 9).tobytes().hex(), "%.6e" % radius)
         out = []
         got = 0
         dry = 0

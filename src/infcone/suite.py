@@ -14,14 +14,12 @@ import numpy as np
 from . import dsl
 from .cones import (RayCone, Status, canonicalize, cone_distance,
                     slice_hmap)
-from .limits import (normal_cone_at_infinity, normal_cone_at_infinity_total,
-                     verify_intersection_rule)
+from .limits import normal_cone_at_infinity, verify_intersection_rule
 from .maps import (MultiMap, _slice_cone, check_prop314,
                    coderivative_at_infinity, subdifferential_at_infinity,
                    verify_chain_rule, verify_sum_rule)
-from .optimality import (OrderingCone, check_cq_infinity,
-                         check_weak_efficient, fermat_certificate)
-from .sets import ClosedSet, indicator_graph
+from .optimality import OrderingCone, fermat_certificate
+from .sets import ClosedSet, full_space, indicator_graph
 from .wellposed import (mordukhovich_criterion, test_lipschitz_like,
                         well_posed_report)
 
@@ -37,13 +35,9 @@ def load_problem(fname):
     return _PROBLEMS[fname]
 
 
-def build_set(sd, split=None):
-    return ClosedSet(sd.dim, pred=sd.pred, split=split,
-                     unbounded=sd.unbounded, name=sd.name)
-
-
 def fixture_set(name, split=None):
-    return build_set(load_problem("sets.json").sets[name], split=split)
+    return ClosedSet.from_setdef(load_problem("sets.json").sets[name],
+                                 split=split)
 
 
 def fixture_map(name):
@@ -389,29 +383,29 @@ def _crit_pshift(cfg):
 # Fermat rule at infinity
 
 
+def _fermat_checks(out):
+    """Weak-efficiency, CQ and certificate checks of one Fermat pass."""
+    pre = out.diagnostics["preconditions"]
+    return [
+        _expect_verdict("weak efficiency", pre["weak_efficient"], "Pass"),
+        _expect_verdict("constraint qualification", pre["cq_infinity"],
+                        "Pass"),
+        _check("certificate found", out.ok, out.to_json()),
+    ]
+
+
 @case("fermat-exptail")
 def _fermat_i(cfg):
     F = fixture_map("ExpTail")
-    from .sets import full_space
-    omega = full_space(1)
-    K = fixture_cone("HalfLine")
-    weff = check_weak_efficient(F, omega, K, [0.0], cfg)
-    cq = check_cq_infinity(F, omega, [0.0], cfg)
-    cert = fermat_certificate(F, omega, K, [0.0], cfg,
-                              preconditions={"weak_efficient": weff,
-                                             "cq_infinity": cq})
-    checks = [
-        _expect_verdict("weak efficiency", weff, "Pass"),
-        _expect_verdict("constraint qualification", cq, "Pass"),
-        _check("certificate found", not hasattr(cert, "status"),
-               cert.to_json() if hasattr(cert, "to_json") else None),
-    ]
-    if not hasattr(cert, "status"):
-        checks.append(_check("c* near 1",
-                             abs(float(cert.c_star[0]) - 1.0) <= 0.05,
-                             {"c_star": cert.c_star.tolist()}))
-        checks.append(_check("residual", cert.residual <= 1e-3,
-                             {"residual": cert.residual}))
+    out = fermat_certificate(F, full_space(1), fixture_cone("HalfLine"),
+                             [0.0], cfg)
+    checks = _fermat_checks(out)
+    if out.ok:
+        c, resid = out.diagnostics["c_star"], out.diagnostics["residual"]
+        checks.append(_check("c* near 1", abs(float(c[0]) - 1.0) <= 0.05,
+                             {"c_star": c.tolist()}))
+        checks.append(_check("residual", resid <= 1e-3,
+                             {"residual": resid}))
     return checks
 
 
@@ -419,27 +413,18 @@ def _fermat_i(cfg):
 def _fermat_ii(cfg):
     F = fixture_map("RampOrBox")
     omega = fixture_set("CuspRegion")
-    K = fixture_cone("Quadrant")
-    nom = normal_cone_at_infinity_total(omega, cfg).cone
-    weff = check_weak_efficient(F, omega, K, [0.0, 0.0], cfg)
-    cq = check_cq_infinity(F, omega, [0.0, 0.0], cfg)
-    cert = fermat_certificate(F, omega, K, [0.0, 0.0], cfg,
-                              preconditions={"weak_efficient": weff,
-                                             "cq_infinity": cq})
-    checks = [
-        _expect_rays("constraint-set cone", nom, _CUSP_RAYS),
-        _expect_verdict("weak efficiency", weff, "Pass"),
-        _expect_verdict("constraint qualification", cq, "Pass"),
-        _check("certificate found", not hasattr(cert, "status"),
-               cert.to_json() if hasattr(cert, "to_json") else None),
-    ]
-    if not hasattr(cert, "status"):
-        c = np.asarray(cert.c_star, dtype=float)
+    out = fermat_certificate(F, omega, fixture_cone("Quadrant"),
+                             [0.0, 0.0], cfg)
+    checks = [_expect_rays("constraint-set cone",
+                           out.diagnostics["omega_cone"], _CUSP_RAYS)]
+    checks += _fermat_checks(out)
+    if out.ok:
+        c, resid = out.diagnostics["c_star"], out.diagnostics["residual"]
         ang = math.acos(min(1.0, max(-1.0, c[0] / np.linalg.norm(c))))
         checks.append(_check("c* near (1,0)", ang <= _ANG5,
                              {"c_star": c.tolist(), "angle": ang}))
-        checks.append(_check("residual", cert.residual <= 1e-2,
-                             {"residual": cert.residual}))
+        checks.append(_check("residual", resid <= 1e-2,
+                             {"residual": resid}))
     return checks
 
 

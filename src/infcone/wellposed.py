@@ -16,10 +16,10 @@ import math
 
 import numpy as np
 
-from .cones import (INF, RayCone, Status, canonicalize, dedup_directions,
-                    hmap_kernel, phm_norm, slice_hmap)
-from .limits import (_persistent_mask, divergent, limit_points,
-                     normal_cone_at_infinity_total)
+from .cones import (INF, Status, dedup_directions, hmap_kernel, phm_norm,
+                    slice_hmap)
+from .limits import (_match_matrix, _tail_cone, _tail_runs, divergent,
+                     limit_points, normal_cone_at_infinity_total)
 from .maps import (_graph_samples, _pinned_min, coderivative_at_infinity,
                    dist_to_preimage, distance_to_image)
 from .verdict import Verdict
@@ -475,11 +475,10 @@ def mordukhovich_criterion(F, ybar, cfg):
     # singular set is nontrivial
     dim = F.n + F.m
     cands = dedup_directions(np.vstack(big), cfg.ang_tol / 2.0)
-    mask, _ = _persistent_mask(cands, big, [False] * len(big),
-                               [len(a) > 0 for a in big], len(big) - 1,
-                               window, math.cos(cfg.ang_tol))
-    sing = canonicalize(list(cands[mask]), dim, nonempty=True) \
-        if mask.any() else RayCone.zero(dim)
+    matched = _match_matrix(cands, big, [False] * len(big),
+                            math.cos(cfg.ang_tol))
+    mask, _ = _tail_runs(matched, len(big) - 1, window)
+    sing = _tail_cone(cands, mask, True, dim)
     report["f_singular"] = sing.to_json()
     report["f_singular_trivial"] = sing.is_zero
     return slice_verdict, report

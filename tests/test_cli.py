@@ -1,10 +1,12 @@
 """Command-line interface: dispatch, envelopes, exit codes."""
 
 import json
+import math
 
 import pytest
 
 from infcone.cli import main
+from infcone.sets import ClosedSet, ProjectionFailure
 
 PROBLEM = {
     "sets": {
@@ -129,6 +131,54 @@ class TestCommands:
         code, out, _ = run(capsys, "validate", "--problem", problem_file,
                            "--seed", "7")
         assert json.loads(out)["config"]["seed"] == 7
+
+    def test_threads_default_one(self, problem_file, capsys, monkeypatch):
+        monkeypatch.delenv("INFCONE_THREADS", raising=False)
+        code, out, _ = run(capsys, "validate", "--problem", problem_file)
+        assert json.loads(out)["config"]["threads"] == 1
+        monkeypatch.setenv("INFCONE_THREADS", "3")
+        code, out, _ = run(capsys, "validate", "--problem", problem_file)
+        assert json.loads(out)["config"]["threads"] == 3
+        code, out, _ = run(capsys, "validate", "--problem", problem_file,
+                           "--threads", "2")
+        assert json.loads(out)["config"]["threads"] == 2
+
+    def test_project_failure_is_strict_json(self, problem_file, capsys,
+                                            monkeypatch):
+        def fail(self, q, cfg, starts=None):
+            raise ProjectionFailure("no finite SLSQP start", math.inf)
+
+        monkeypatch.setattr(ClosedSet, "project", fail)
+        code, out, _ = run(capsys, "project", "--problem", problem_file,
+                           "--set", "Left", "--point", "3,1")
+        assert code == 3
+
+        def reject(name):
+            raise ValueError("non-JSON constant %s" % name)
+
+        env = json.loads(out, parse_constant=reject)
+        assert env["result"]["best_residual"] == "inf"
+
+    def test_fermat_single_verdict(self, tmp_path, capsys):
+        # F(x) = {exp(-x^2)}: 0 is weakly efficient at infinity, c* = 1
+        doc = {"mappings": {"FlatTail": {"n": 1, "m": 1,
+                                         "graph": "v2 == exp(-v1^2)"}},
+               "cones": {"Pos": {"generators": [[1.0]],
+                                 "interior_point": [1.0]}},
+               "config": {"shells": 6, "samples_per_shell": 600,
+                          "probes_per_level": 80}}
+        prob = tmp_path / "fermat.json"
+        prob.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "fermat", "--problem", str(prob),
+                           "--map", "FlatTail", "--cone", "Pos",
+                           "--ybar", "0")
+        assert code == 0
+        env = json.loads(out)
+        verdict = env["result"]["verdict"]
+        assert verdict["status"] == "Pass"
+        assert verdict["diagnostics"]["c_star"][0] == \
+            pytest.approx(1.0, abs=0.05)
+        assert env["verdicts"] and set(env["verdicts"]) == {"Pass"}
 
 
 class TestVerify:

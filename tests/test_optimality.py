@@ -5,13 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from infcone import optimality
 from infcone.cones import Status, contains_direction
 from infcone.dsl import parse_problem
 from infcone.maps import MultiMap
-from infcone.optimality import (FermatCertificate, OrderingCone,
-                                check_cq_infinity, check_weak_efficient,
-                                fermat_certificate, positive_polar,
-                                scalarize, scalarize_subdiff)
+from infcone.optimality import (OrderingCone, check_cq_infinity,
+                                check_weak_efficient, fermat_certificate,
+                                positive_polar, scalarize, scalarize_subdiff)
 from infcone.sets import SetError, full_space
 from infcone.verdict import Verdict
 
@@ -100,23 +100,49 @@ class TestWeakEfficiency:
 
 class TestFermat:
     def test_precondition_refusal(self, pos1, fast_cfg):
+        # ybar = 1 is not weakly efficient for x -> {x^2} (see
+        # test_interior_value_fails), so no certificate is searched for
         F = make_map("v2 == v1^2", name="Sq")
-        pre = {"weak_efficient": Verdict.failed({"y": [0.0]}),
-               "cq_infinity": Verdict.passed()}
-        out = fermat_certificate(F, full_space(1), pos1, [0.0], fast_cfg,
-                                 preconditions=pre)
+        out = fermat_certificate(F, full_space(1), pos1, [1.0], fast_cfg)
         assert isinstance(out, Verdict)
         assert out.status == "Inconclusive"
         assert out.reason.startswith("precondition not passed")
+        pre = out.diagnostics["preconditions"]
+        assert pre["weak_efficient"].status == "Fail"
+        assert set(pre) == {"weak_efficient", "cq_infinity"}
 
     def test_flat_tail_certificate(self, pos1, fast_cfg):
         # F(x) = {exp(-x^2)}: values decrease to 0 at infinity, so 0 is
         # weakly efficient and the multiplier is c* = 1
         F = make_map("v2 == exp(-v1^2)", name="FlatTail")
         out = fermat_certificate(F, full_space(1), pos1, [0.0], fast_cfg)
-        assert isinstance(out, FermatCertificate)
-        assert out.c_star[0] == pytest.approx(1.0, abs=0.05)
-        assert out.residual <= 1e-2
+        assert out.ok
+        assert out.diagnostics["c_star"][0] == pytest.approx(1.0, abs=0.05)
+        assert out.diagnostics["residual"] <= 1e-2
+
+    def test_each_cone_built_once(self, pos1, fast_cfg, monkeypatch):
+        calls = {"cod": 0, "omega": 0}
+        cod = optimality._constrained_coderivative
+        nom = optimality.normal_cone_at_infinity_total
+
+        def counted_cod(*args, **kwargs):
+            calls["cod"] += 1
+            return cod(*args, **kwargs)
+
+        def counted_nom(*args, **kwargs):
+            calls["omega"] += 1
+            return nom(*args, **kwargs)
+
+        monkeypatch.setattr(optimality, "_constrained_coderivative",
+                            counted_cod)
+        monkeypatch.setattr(optimality, "normal_cone_at_infinity_total",
+                            counted_nom)
+        F = make_map("v2 == exp(-v1^2)", name="FlatTail")
+        out = fermat_certificate(F, full_space(1), pos1, [0.0], fast_cfg)
+        assert out.ok
+        assert calls == {"cod": 1, "omega": 1}
+        cq = out.diagnostics["preconditions"]["cq_infinity"]
+        assert cq.diagnostics["omega_cone"] is out.diagnostics["omega_cone"]
 
     def test_cq_trivial_constraint(self, fast_cfg):
         F = make_map("v2 == exp(-v1^2)", name="FlatTail")

@@ -12,7 +12,8 @@ from infcone.cones import (canonicalize, cone_distance, contains_direction,
                            dedup_directions, in_convex_cone, polar_cone,
                            slice_hmap, hslice_distance, HSlice)
 from infcone.config import RunConfig
-from infcone.limits import _first_seen, limit_points
+from infcone.limits import (_first_seen, _match_matrix, _tail_runs,
+                            limit_points)
 from infcone.optimality import OrderingCone, scalarize
 
 CFG = RunConfig(shells=4, samples_per_shell=200, probes_per_level=40)
@@ -243,3 +244,63 @@ def test_dedup_matches_greedy_reference(case):
         got = dedup_directions(dirs, resolution)
     want = greedy_dedup(dirs, resolution)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def per_shell_tail(cands, shell_dirs, shell_full, sampled, last, window,
+                   cos_thr):
+    """Reference: the per-candidate walk back from shell `last` that
+    outer_limit ran, on one shell's matches at a time."""
+    mask = np.zeros(len(cands), dtype=bool)
+    runs = [[] for _ in cands]
+
+    def row(j):
+        if not sampled[j]:
+            return np.zeros(len(cands), dtype=bool)
+        if shell_full[j]:
+            return np.ones(len(cands), dtype=bool)
+        if not len(shell_dirs[j]):
+            return np.zeros(len(cands), dtype=bool)
+        return np.max(cands @ shell_dirs[j].T, axis=1) >= cos_thr
+
+    rows = [row(j) for j in range(last + 1)]
+    for i in range(len(cands)):
+        j = last
+        while j >= 0 and rows[j][i]:
+            j -= 1
+        if last - j >= window:
+            mask[i] = True
+            runs[i] = list(range(j + 1, last + 1))
+    return mask, runs
+
+
+@st.composite
+def tail_cases(draw):
+    """Candidates and shells on a 5-degree lattice of planar directions
+    (so matches sit exactly on and off the tolerance), with unsampled,
+    empty and full-flagged shells."""
+    angle = st.integers(0, 71).map(lambda k: k * math.pi / 36.0)
+    cands = dirs_from_angles(draw(st.lists(angle, max_size=8)))
+    shells = draw(st.lists(st.tuples(st.sampled_from(["off", "dirs",
+                                                      "full"]),
+                                     st.lists(angle, max_size=5)),
+                           min_size=1, max_size=8))
+    sampled = [kind != "off" for kind, _ in shells]
+    shell_dirs = [dirs_from_angles(a).reshape(-1, 2) if kind == "dirs"
+                  else np.zeros((0, 2)) for kind, a in shells]
+    shell_full = [kind == "full" for kind, _ in shells]
+    tol = draw(st.sampled_from([0.01, math.pi / 36.0, 0.1]))
+    return (cands.reshape(-1, 2), shell_dirs, shell_full, sampled,
+            draw(st.integers(1, 4)), math.cos(tol))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tail_cases())
+def test_tail_runs_match_per_shell_reference(case):
+    cands, shell_dirs, shell_full, sampled, window, cos_thr = case
+    matched = _match_matrix(cands, shell_dirs, shell_full, cos_thr)
+    J = len(shell_dirs)
+    for last in (J - 1, J - 2):
+        mask, runs = _tail_runs(matched, last, window)
+        want_mask, want_runs = per_shell_tail(
+            cands, shell_dirs, shell_full, sampled, last, window, cos_thr)
+        assert np.array_equal(mask, want_mask) and runs == want_runs

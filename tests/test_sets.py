@@ -69,6 +69,19 @@ class TestSampling:
         b = halfplane.sample_shell(sh, 100, fast_cfg, label="t")
         assert np.array_equal(a, b)
 
+    def test_fiber_stream_keyed_on_the_point(self, fast_cfg):
+        # the fibres at x = (1, 2) and x = (2, 1) are the same set y <= 3,
+        # but the two points must not draw the same random stream
+        g = ClosedSet(3, pred=dsl.parse_predicate("v3 <= v1 + v2", 3),
+                      split=(2, 1), name="Sum")
+        a = g.sample_fiber([1.0, 2.0], [0.0], 5.0, 50, fast_cfg)
+        b = g.sample_fiber([2.0, 1.0], [0.0], 5.0, 50, fast_cfg)
+        assert len(a) == len(b) == 50
+        assert np.all(a <= 3.0 + 1e-9) and np.all(b <= 3.0 + 1e-9)
+        assert not np.array_equal(a, b)
+        again = g.sample_fiber([1.0, 2.0], [0.0], 5.0, 50, fast_cfg)
+        assert np.array_equal(a, again)
+
     def test_bad_shell(self):
         with pytest.raises(SetError):
             Shell((0,), 5.0, 2.0)
