@@ -8,7 +8,9 @@ Each seed runs `run_paper_suite` once at threads=1.  The matrix maps each
 case to its status per seed, and a Fail also lists the checks that failed.
 "flips" lists the cases whose status differs across the seeds.  With
 --label the matrix is stored under that key of --out, next to the labels
-the file already holds, so two source trees can be compared in one file.
+the file already holds, so two source trees can be compared in one file;
+its "differs_from" maps each of those other labels to the cases whose
+status differs from it at a seed that both ran.
 A case that flips, or differs between labels, is a defect to report, not
 a seed to avoid.  Wall times per case go to the "seconds" field; they are
 not part of the matrix.
@@ -56,6 +58,20 @@ def sweep(seeds):
             "failed_checks": failed, "flips": flips, "seconds": seconds}
 
 
+def differs_from(result, doc, label):
+    """{other label: cases whose status differs from it at a shared seed}."""
+    out = {}
+    for other, prev in sorted(doc.items()):
+        if other == label:
+            continue
+        theirs = prev.get("status", {})
+        out[other] = sorted(
+            name for name, row in result["status"].items()
+            if any(theirs.get(name, {}).get(seed, st) != st
+                   for seed, st in row.items()))
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seeds", default="0-4", help="e.g. 0-4 or 0,3,7")
@@ -73,6 +89,7 @@ def main(argv=None):
         if args.out and os.path.exists(args.out):
             with open(args.out) as fh:
                 doc = json.load(fh)
+        result["differs_from"] = differs_from(result, doc, args.label)
         doc[args.label] = result
         result = doc
     text = json.dumps(result, indent=1, sort_keys=True) + "\n"

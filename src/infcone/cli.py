@@ -25,6 +25,7 @@ from .optimality import OrderingCone, fermat_certificate
 from .sets import ClosedSet, ProjectionFailure, Shell, SetError, \
     full_space, points_to_csv
 from .suite import run_paper_suite
+from .verdict import _jsonable
 from .wellposed import mordukhovich_criterion, well_posed_report
 
 _VERDICTS = ("Pass", "Fail", "Inconclusive")
@@ -36,7 +37,9 @@ def _vec(text):
     return np.array([float(t) for t in text.replace(",", " ").split()])
 
 
-def _collect_statuses(obj, acc):
+def _collect_statuses(obj, acc=None):
+    """The verdict statuses anywhere in a JSON-like payload, in order."""
+    acc = [] if acc is None else acc
     if isinstance(obj, dict):
         s = obj.get("status")
         if s in _VERDICTS and ("witness" in obj or "reason" in obj):
@@ -46,6 +49,7 @@ def _collect_statuses(obj, acc):
     elif isinstance(obj, (list, tuple)):
         for v in obj:
             _collect_statuses(v, acc)
+    return acc
 
 
 def _exit_code(statuses):
@@ -89,8 +93,14 @@ def _get_map(prob, name):
     return MultiMap.from_mapdef(prob.mappings[name])
 
 
+def _dumps(obj):
+    """Strict JSON: non-finite floats become "inf", "-inf" or "nan"."""
+    return json.dumps(_jsonable(obj), indent=2, sort_keys=True,
+                      allow_nan=False)
+
+
 def _emit(args, envelope):
-    text = json.dumps(envelope, indent=2, sort_keys=True)
+    text = _dumps(envelope)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -126,9 +136,7 @@ def _cmd_project(args, prob, cfg):
         res = S.project(_vec(args.point), cfg)
         return res.to_json(), []
     except ProjectionFailure as e:
-        resid = e.best_residual
-        return {"error": str(e),
-                "best_residual": resid if np.isfinite(resid) else "inf"}, \
+        return {"error": str(e), "best_residual": e.best_residual}, \
             ["Inconclusive"]
 
 
@@ -201,18 +209,14 @@ def _cmd_wellposed(args, prob, cfg):
     F = _get_map(prob, args.map)
     rep = well_posed_report(F, _vec(args.ybar), cfg, mu=args.mu,
                             ell=args.ell)
-    acc = []
-    _collect_statuses(rep, acc)
-    return rep, acc
+    return rep, _collect_statuses(rep)
 
 
 def _cmd_criterion(args, prob, cfg):
     F = _get_map(prob, args.map)
     verdict, report = mordukhovich_criterion(F, _vec(args.ybar), cfg)
     payload = {"verdict": verdict.to_json(), "report": report}
-    acc = []
-    _collect_statuses(payload, acc)
-    return payload, acc
+    return payload, _collect_statuses(payload)
 
 
 def _cmd_fermat(args, prob, cfg):
@@ -226,9 +230,7 @@ def _cmd_fermat(args, prob, cfg):
     K = OrderingCone.from_conedef(prob.cones[args.cone])
     payload = {"verdict": fermat_certificate(F, omega, K, _vec(args.ybar),
                                              cfg).to_json()}
-    acc = []
-    _collect_statuses(payload, acc)
-    return payload, acc
+    return payload, _collect_statuses(payload)
 
 
 def _cmd_verify(args, cfg):
@@ -238,10 +240,11 @@ def _cmd_verify(args, cfg):
     summary = run_paper_suite(filter=args.case, cfg=cfg, progress=progress)
     if args.case and not summary["cases"]:
         print("warning: no case matches %r" % args.case, file=sys.stderr)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    text = _dumps(summary)
+    print(text)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+            fh.write(text + "\n")
     return 1 if summary["counts"]["fail"] else 0
 
 
@@ -361,11 +364,10 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    if args.command == "verify":
-        cfg = _build_cfg(args)
-        return _cmd_verify(args, cfg)
     t0 = time.perf_counter()
     try:
+        if args.command == "verify":
+            return _cmd_verify(args, _build_cfg(args))
         prob, phash = _load_problem(args.problem)
         cfg = _build_cfg(args, prob)
         payload, statuses = _HANDLERS[args.command](args, prob, cfg)

@@ -5,7 +5,8 @@ labels) so results are independent of scheduling and worker count.
 """
 
 import dataclasses
-import json
+import math
+import numbers
 import zlib
 
 import numpy as np
@@ -35,7 +36,31 @@ class RunConfig:
     probes_per_level: int = 200
     threads: int = 1
 
+    def __post_init__(self):
+        """ValueError naming the config.<key> path of a value that no
+        sampling rule can use; tail rules need shells > persistence_window.
+        """
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            lo = 1 if f.name == "radius_factor" else 0  # counts: > 0 is >= 1
+            kind = numbers.Integral if f.type is int else numbers.Real
+            if isinstance(v, bool) or not isinstance(v, kind) \
+                    or not abs(v) < math.inf:
+                why = "must be " + ("an integer" if f.type is int
+                                    else "a finite number")
+            elif f.name != "seed" and not v > lo:
+                why = "must be > %r" % lo
+            else:
+                continue
+            raise ValueError("config.%s: %s, got %r" % (f.name, why, v))
+        if self.shells <= self.persistence_window:
+            raise ValueError("config.shells: must be > persistence_window "
+                             "(%d), got %d" % (self.persistence_window,
+                                              self.shells))
+
     def replace(self, **kw):
+        for k in sorted(set(kw) - {f.name for f in dataclasses.fields(self)}):
+            raise ValueError("config.%s: unknown key" % k)
         return dataclasses.replace(self, **kw)
 
     def radius(self, j):
@@ -60,11 +85,3 @@ class RunConfig:
 
     def to_json(self):
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, d):
-        fields = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in d.items() if k in fields})
-
-    def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True)

@@ -148,6 +148,17 @@ class Call(Expr):
         return ("call", self.fn) + tuple(a.key() for a in self.args)
 
 
+def _children(e):
+    """The sub-expressions of e, left to right."""
+    if isinstance(e, Neg):
+        return (e.arg,)
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, Bin):
+        return (e.l, e.r)
+    return e.args if isinstance(e, Call) else ()
+
+
 # ---------------------------------------------------------------------------
 # Evaluation (vectorized over an (N, dim) point array)
 
@@ -162,6 +173,15 @@ def eval_expr(e, p):
         out = _ev(e, p)
         out = np.broadcast_to(out, (p.shape[0],)).astype(float)
     return float(out[0]) if single else out
+
+
+def eval_columns(exprs, p):
+    """(N, len(exprs)) values of the exprs at the (N, dim) points p."""
+    out = np.empty((p.shape[0], len(exprs)))
+    with np.errstate(all="ignore"):
+        for j, e in enumerate(exprs):
+            out[:, j] = _ev(e, p)
+    return out
 
 
 def _ev(e, p):
@@ -335,20 +355,7 @@ def shift_vars(e, k):
 def free_vars(e):
     if isinstance(e, Var):
         return {e.idx}
-    if isinstance(e, (Num,)):
-        return set()
-    if isinstance(e, Neg):
-        return free_vars(e.arg)
-    if isinstance(e, Pow):
-        return free_vars(e.base)
-    if isinstance(e, Bin):
-        return free_vars(e.l) | free_vars(e.r)
-    if isinstance(e, Call):
-        out = set()
-        for a in e.args:
-            out |= free_vars(a)
-        return out
-    return set()
+    return set().union(*map(free_vars, _children(e)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,17 +431,8 @@ class Comparison:
 
 
 def _has_nonsmooth(e):
-    if isinstance(e, Call):
-        if e.fn in _NONSMOOTH:
-            return True
-        return any(_has_nonsmooth(a) for a in e.args)
-    if isinstance(e, Bin):
-        return _has_nonsmooth(e.l) or _has_nonsmooth(e.r)
-    if isinstance(e, (Neg,)):
-        return _has_nonsmooth(e.arg)
-    if isinstance(e, Pow):
-        return _has_nonsmooth(e.base)
-    return False
+    return (isinstance(e, Call) and e.fn in _NONSMOOTH) or \
+        any(map(_has_nonsmooth, _children(e)))
 
 
 class Conj:
@@ -684,18 +682,15 @@ class _Parser:
                     self.fail("variable v%d out of range (dim %d)"
                               % (idx, self.dim), code="E_DIM")
                 return Var(idx - 1)
-            if val in ("exp", "log", "sin", "cos", "sqrt", "cbrt", "abs"):
+            if val in ("exp", "log", "sin", "cos", "sqrt", "cbrt", "abs",
+                       "min", "max"):
                 self.expect("(")
-                arg = self.parse_expr_inner()
+                args = [self.parse_expr_inner()]
+                if val in ("min", "max"):
+                    self.expect(",")
+                    args.append(self.parse_expr_inner())
                 self.expect(")")
-                return Call(val, [arg])
-            if val in ("min", "max"):
-                self.expect("(")
-                a = self.parse_expr_inner()
-                self.expect(",")
-                b = self.parse_expr_inner()
-                self.expect(")")
-                return Call(val, [a, b])
+                return Call(val, args)
             if val == "pi":
                 return Num(math.pi)
             self.i -= 1
@@ -719,16 +714,13 @@ def _to_dnf(tree, where, diags):
     """Distribute and/or into a list of Conj (DNF depth 2)."""
     if tree[0] == "cmp":
         return [Conj([tree[1]])]
+    left = _to_dnf(tree[1], where, diags)
+    right = _to_dnf(tree[2], where, diags)
     if tree[0] == "and":
-        left = _to_dnf(tree[1], where, diags)
-        right = _to_dnf(tree[2], where, diags)
-        if len(left) * len(right) > _MAX_DNF_PIECES:
-            diags.append(Diagnostic("E_DNF", "predicate explodes past %d "
-                                    "DNF pieces" % _MAX_DNF_PIECES, where))
-            raise ParseError(diags)
-        return [Conj(a.comparisons + b.comparisons)
-                for a in left for b in right]
-    out = _to_dnf(tree[1], where, diags) + _to_dnf(tree[2], where, diags)
+        out = [Conj(a.comparisons + b.comparisons)
+               for a in left for b in right]
+    else:
+        out = left + right
     if len(out) > _MAX_DNF_PIECES:
         diags.append(Diagnostic("E_DNF", "predicate explodes past %d DNF "
                                 "pieces" % _MAX_DNF_PIECES, where))

@@ -17,7 +17,8 @@ import numpy as np
 
 from .cones import (RayCone, Status, canonicalize, cone_distance,
                     cone_intersect, cone_negate, cone_sum,
-                    contains_direction, dedup_directions, in_convex_cone)
+                    contains_direction, dedup_directions, in_convex_cone,
+                    polar_cone)
 from .grids import grid_sizes_from_config, sphere_grid
 from .sets import ClosedSet, SetError, Shell
 from .verdict import Verdict
@@ -30,10 +31,9 @@ class ApproachSpec:
     shells.  The constructors below cover the two approach modes.
     """
 
-    __slots__ = ("mode", "dim", "sampler", "levels")
+    __slots__ = ("dim", "sampler", "levels")
 
-    def __init__(self, mode, dim, sampler, levels):
-        self.mode = mode
+    def __init__(self, dim, sampler, levels):
         self.dim = int(dim)
         self.sampler = sampler
         self.levels = int(levels)
@@ -52,7 +52,7 @@ class ApproachSpec:
             return S.sample_shell(sh, cfg.samples_per_shell, cfg,
                                   label="%s|j%d" % (label, j))
 
-        return cls("to_infinity_with_value", S.dim, sampler, cfg.shells)
+        return cls(S.dim, sampler, cfg.shells)
 
     @classmethod
     def to_infinity(cls, S, cfg, label=""):
@@ -63,7 +63,7 @@ class ApproachSpec:
             return S.sample_shell(sh, cfg.samples_per_shell, cfg,
                                   label="%s|t%d" % (label, j))
 
-        return cls("to_infinity", S.dim, sampler, cfg.shells)
+        return cls(S.dim, sampler, cfg.shells)
 
 
 class LimsupResult:
@@ -111,6 +111,11 @@ def _match_matrix(cands, shell_dirs, shell_full, cos_thr):
         elif len(dirs):
             matched[j] = np.max(cands @ dirs.T, axis=1) >= cos_thr
     return matched
+
+
+def tail_levels(levels, count):
+    """The last `count` of `levels` shell levels: all that a tail rule reads."""
+    return range(max(levels - count, 0), levels)
 
 
 def _tail_runs(matched, last, window):
@@ -215,14 +220,16 @@ def outer_limit(field, approach, cfg):
 
     field(j, points) -> direction array or {"dirs": ..., "full": bool};
     the full flag marks shells whose samples generate every direction
-    (e.g. isolated atoms).  Empty iff the final persistence window saw no
-    samples at all; ZeroOnly when samples exist but no direction persists.
+    (e.g. isolated atoms).  Only the shells a tail rule reads are sampled:
+    the last window + 1.  Empty iff the final window saw no samples;
+    ZeroOnly when samples exist but no direction persists.
     converged=False when the estimate still moved at the last shell or
     some direction flickered in the final window without persisting.
     """
     dim = approach.dim
     J = approach.levels
     window = cfg.persistence_window
+    levels = tail_levels(J, window + 1)
 
     def eval_shell(j):
         P = approach.sampler(j)
@@ -238,13 +245,13 @@ def outer_limit(field, approach, cfg):
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            rows = list(ex.map(eval_shell, range(J)))
+            rows = list(ex.map(eval_shell, levels))
     else:
-        rows = [eval_shell(j) for j in range(J)]
+        rows = [eval_shell(j) for j in levels]
     sampled = [r[0] for r in rows]
     shell_dirs = [r[1] for r in rows]
     shell_full = [r[2] for r in rows]
-    counts = [r[3] for r in rows]
+    counts = [0] * levels.start + [r[3] for r in rows]
 
     all_dirs = [d for d in shell_dirs if len(d)]
     if any(shell_full):
@@ -257,9 +264,10 @@ def outer_limit(field, approach, cfg):
         cands = dedup_directions(cands, cfg.ang_tol / 2.0)
     cos_thr = np.cos(cfg.ang_tol)
 
+    k = len(levels)
     matched = _match_matrix(cands, shell_dirs, shell_full, cos_thr)
-    mask, runs = _tail_runs(matched, J - 1, window)
-    cone = _tail_cone(cands, mask, any(sampled[J - window:]), dim)
+    mask, runs = _tail_runs(matched, k - 1, window)
+    cone = _tail_cone(cands, mask, any(sampled[max(k - window, 0):]), dim)
     diagnostics = {"samples_per_shell": counts,
                    "candidates": int(len(cands))}
     # map kept canonical rays back to candidate persistence runs
@@ -268,15 +276,15 @@ def outer_limit(field, approach, cfg):
         kept_idx = np.flatnonzero(mask)
         for ray in cone.rays:
             best = kept_idx[int(np.argmax(cands[kept_idx] @ ray))]
-            persistence.append(runs[best])
+            persistence.append([levels[i] for i in runs[best]])
 
     # convergence: drop the last shell, recompute, compare; also flag
     # directions that matched part of the final window without persisting
-    prev_mask, _ = _tail_runs(matched, J - 2, window)
+    prev_mask, _ = _tail_runs(matched, k - 2, window)
     prev = _tail_cone(cands, prev_mask,
-                      any(sampled[max(J - 1 - window, 0):J - 1]), dim)
+                      any(sampled[max(k - 1 - window, 0):k - 1]), dim)
     drift = cone_distance(prev, cone)
-    recent = matched[max(J - window, 0):J].any(axis=0)
+    recent = matched[max(k - window, 0):k].any(axis=0)
     flicker = bool(np.any(recent & ~mask))
     converged = drift <= 2.0 * cfg.ang_tol and not flicker
     diagnostics["drift"] = None if np.isinf(drift) else float(drift)
@@ -325,11 +333,6 @@ def frechet_normal_cone(S, x, cfg):
         grid, step = sphere_grid(S.dim, grid_sizes_from_config(cfg))
         return RayCone(S.dim, Status.RAYS, grid, resolution=step / 2.0,
                        _trusted=True)
-    return polar_of_contingent(S, x, cfg)
-
-
-def polar_of_contingent(S, x, cfg):
-    from .cones import polar_cone
     # the sampled contingent cone over-includes by up to ang_tol; give
     # the polar the matching slack so boundary normals survive
     return polar_cone(contingent_cone(S, x, cfg),

@@ -16,7 +16,7 @@ from .dsl import (Comparison, Conj, Predicate, Var, _add, _ev,
                   eval_predicate, free_vars, gradient, subst_vars)
 from .limits import (ApproachSpec, divergent, limit_points,
                      limiting_normal_cone, normal_cone_at_infinity,
-                     normal_cone_at_infinity_total, outer_limit)
+                     normal_cone_at_infinity_total, outer_limit, tail_levels)
 from .sets import (ClosedSet, SetError, Shell, epigraph_set, full_space,
                    graph_of_function, graph_set)
 from .verdict import Verdict
@@ -411,9 +411,7 @@ def _eval_explicit(pieces_meta, X, m, eq_tol=1e-9):
             ok = np.ones(N, dtype=bool)
         rows = np.flatnonzero(ok & np.isnan(out[:, 0]))
         if rows.size:
-            with np.errstate(all="ignore"):
-                for j, e in enumerate(exprs):
-                    out[rows, j] = _ev(e, X[rows])
+            out[rows] = dsl.eval_columns(exprs, X[rows])
     return out
 
 
@@ -843,7 +841,7 @@ def subdifferential_at_infinity(f, ybar, cfg, label=""):
     grad_exprs = [gradient(v, n) for v in piece_vals]
     mesh = 0.02
     shell_grads = []
-    for j in range(cfg.shells):
+    for j in tail_levels(cfg.shells, cfg.persistence_window):
         P = _graph_samples(Fg, [ybar], cfg, j, cfg.samples_per_shell,
                            "sdb|" + (label or f.name))
         if len(P) == 0:
@@ -856,9 +854,7 @@ def subdifferential_at_infinity(f, ybar, cfg, label=""):
         for pi, gex in enumerate(grad_exprs):
             rows = np.flatnonzero(member[pi] & np.isnan(U[:, 0]))
             if rows.size:
-                with np.errstate(all="ignore"):
-                    for jx, e in enumerate(gex):
-                        U[rows, jx] = _ev(e, X[rows])
+                U[rows] = dsl.eval_columns(gex, X[rows])
         good = np.isfinite(U).all(axis=1) & \
             (np.linalg.norm(U, axis=1) <= 1e3)
         shell_grads.append(U[good])
@@ -874,19 +870,23 @@ def subdifferential_at_infinity(f, ybar, cfg, label=""):
             D = ClosedSet(n, pred=region, name="dom|%s|%d" % (f.name, i))
         domain_sets.append((D, gradient(value, n)))
 
-    def singular_field(j, _ignored):
+    def sample_domains(j):
+        sh = Shell(range(n), cfg.radius(j), cfg.radius(j + 1))
+        blocks = [D.sample_shell(sh, cfg.samples_per_shell, cfg,
+                                 label="sds|%s|%d" % (label or f.name, j))
+                  for D, _ in domain_sets]
+        # rows are (domain index, x): each domain keeps its own gradient
+        return np.vstack([np.column_stack((np.full(len(X), i), X))
+                          for i, X in enumerate(blocks)])
+
+    def singular_field(j, P):
         tau = 2.0 ** j
         dirs = []
-        for D, gex in domain_sets:
-            sh = Shell(range(n), cfg.radius(j), cfg.radius(j + 1))
-            X = D.sample_shell(sh, cfg.samples_per_shell, cfg,
-                               label="sds|%s|%d" % (label or f.name, j))
+        for i, (_, gex) in enumerate(domain_sets):
+            X = P[P[:, 0] == i, 1:]
             if len(X) == 0:
                 continue
-            U = np.empty((len(X), n))
-            with np.errstate(all="ignore"):
-                for jx, e in enumerate(gex):
-                    U[:, jx] = _ev(e, X)
+            U = dsl.eval_columns(gex, X)
             finite = np.isfinite(U).all(axis=1)
             W = U[finite]
             # scale each row by its largest entry before taking the norm,
@@ -906,11 +906,8 @@ def subdifferential_at_infinity(f, ybar, cfg, label=""):
                 dirs.append(D)
         return np.vstack(dirs) if dirs else np.zeros((0, n))
 
-    approach = ApproachSpec(
-        "to_infinity", n,
-        lambda j: np.zeros((1, n)),  # placeholder; field samples itself
-        cfg.shells)
-    res = outer_limit(singular_field, approach, cfg)
+    res = outer_limit(singular_field,
+                      ApproachSpec(n, sample_domains, cfg.shells), cfg)
     singular = res.cone
     if singular.is_empty:
         singular = RayCone.zero(n)

@@ -117,12 +117,7 @@ class Piece:
 
     def grad(self, ci, P):
         """(N, dim) gradient of g at P; raises dsl.NonSmooth."""
-        exprs = self.comparisons[ci].grad_exprs(self.dim)
-        out = np.empty((P.shape[0], self.dim))
-        with np.errstate(all="ignore"):
-            for j, e in enumerate(exprs):
-                out[:, j] = _ev(e, P)
-        return out
+        return dsl.eval_columns(self.comparisons[ci].grad_exprs(self.dim), P)
 
     def residual(self, P):
         """Max scaled constraint violation per point (0 when satisfied)."""
@@ -149,12 +144,16 @@ _DRY_ROUNDS = 4
 
 
 def _choose_columns(allowed, u):
-    """Pick one True column per row by its uniform draw u; -1 when none."""
-    counts = allowed.sum(axis=1)
-    target = np.floor(u * np.maximum(counts, 1))
-    cs = np.cumsum(allowed, axis=1)
-    col = np.argmax(cs > target[:, None], axis=1)
-    return np.where(counts > 0, col, -1)
+    """Pick one True column per row by its uniform draw u; -1 when none.
+    A loop over the few (2-3) columns beats reductions along them."""
+    cols = list(allowed.T)
+    target = np.floor(u * np.maximum(sum(cols), 1))
+    col = np.full(len(u), -1)
+    seen = 0
+    for k, c in enumerate(cols):
+        seen = seen + c
+        col[(col < 0) & (seen > target)] = k
+    return col
 
 
 def _interleave(arrays):
@@ -162,20 +161,8 @@ def _interleave(arrays):
     arrays = [a for a in arrays if len(a)]
     if not arrays:
         return None
-    if len(arrays) == 1:
-        return arrays[0]
-    dim = arrays[0].shape[1]
-    total = sum(len(a) for a in arrays)
-    out = np.empty((total, dim))
-    pos = 0
-    idx = [0] * len(arrays)
-    while pos < total:
-        for ai, a in enumerate(arrays):
-            if idx[ai] < len(a):
-                out[pos] = a[idx[ai]]
-                idx[ai] += 1
-                pos += 1
-    return out
+    rank = np.concatenate([np.arange(len(a)) for a in arrays])
+    return np.vstack(arrays)[np.argsort(rank, kind="stable")]
 
 
 class ClosedSet:

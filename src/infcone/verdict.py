@@ -1,19 +1,22 @@
 """Shared Pass/Fail/Inconclusive verdict type for the checker batteries."""
 
+import math
+
 import numpy as np
 
 
 def _jsonable(v):
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
+    """v as plain JSON values, non-finite floats as "inf", "-inf", "nan"."""
+    if isinstance(v, (np.ndarray, np.floating, np.integer)):
+        v = v.tolist()
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     if hasattr(v, "to_json"):
-        return v.to_json()
+        return _jsonable(v.to_json())
+    if isinstance(v, float) and not math.isfinite(v):
+        return str(v)
     return v
 
 

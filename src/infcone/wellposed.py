@@ -22,7 +22,7 @@ from .limits import (_match_matrix, _tail_cone, _tail_runs, divergent,
                      limit_points, normal_cone_at_infinity_total)
 from .maps import (_graph_samples, _pinned_min, coderivative_at_infinity,
                    dist_to_preimage, distance_to_image)
-from .verdict import Verdict
+from .verdict import Verdict, _jsonable
 
 _BUDGET_NOTE = "no counterexample within budget (not a proof)"
 
@@ -68,7 +68,6 @@ class ModulusEstimate:
                                                       self.samples_used)
 
     def to_json(self):
-        from .verdict import _jsonable
         return {"value": self.value if math.isfinite(self.value) else "inf",
                 "samples_used": self.samples_used,
                 "worst_witness": _jsonable(self.worst_witness),

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from infcone import cli
 from infcone.cli import main
 from infcone.sets import ClosedSet, ProjectionFailure
 
@@ -152,10 +153,6 @@ class TestCommands:
         code, out, _ = run(capsys, "project", "--problem", problem_file,
                            "--set", "Left", "--point", "3,1")
         assert code == 3
-
-        def reject(name):
-            raise ValueError("non-JSON constant %s" % name)
-
         env = json.loads(out, parse_constant=reject)
         assert env["result"]["best_residual"] == "inf"
 
@@ -179,6 +176,78 @@ class TestCommands:
         assert verdict["diagnostics"]["c_star"][0] == \
             pytest.approx(1.0, abs=0.05)
         assert env["verdicts"] and set(env["verdicts"]) == {"Pass"}
+
+
+def reject(name):
+    raise ValueError("non-JSON constant %s" % name)
+
+
+class TestConfigValues:
+    """Config values no sampling rule can use exit 2 with the key's path."""
+
+    def normal_cone(self, tmp_path, capsys, config, *extra):
+        doc = dict(PROBLEM, config=dict(PROBLEM["config"], **config))
+        prob = tmp_path / "cfg.json"
+        prob.write_text(json.dumps(doc))
+        return run(capsys, "normal-cone", "--problem", str(prob),
+                   "--set", "Half", "--at-infinity", *extra)
+
+    @pytest.mark.parametrize("config, path", [
+        ({"shells": -3}, "config.shells"),
+        ({"persistence_window": 0}, "config.persistence_window"),
+        ({"shells": 3, "persistence_window": 3}, "config.shells"),
+        ({"no_such_key": 1}, "config.no_such_key"),
+        ({"radius_factor": 1.0}, "config.radius_factor"),
+        ({"ang_tol": 0}, "config.ang_tol"),
+        ({"samples_per_shell": 2.5}, "config.samples_per_shell"),
+    ])
+    def test_bad_value_exit_2(self, tmp_path, capsys, config, path):
+        code, out, err = self.normal_cone(tmp_path, capsys, config)
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"].startswith(path + ":")
+
+    def test_bad_threads_exit_2(self, tmp_path, capsys):
+        code, _, err = self.normal_cone(tmp_path, capsys, {}, "--threads",
+                                        "0")
+        assert code == 2
+        assert json.loads(err)["message"].startswith("config.threads:")
+        code, _, err = run(capsys, "verify", "--case", "ex-halfplane",
+                           "--threads", "-1")
+        assert code == 2
+        assert json.loads(err)["message"].startswith("config.threads:")
+
+    def test_good_values_run(self, tmp_path, capsys):
+        code, out, _ = self.normal_cone(tmp_path, capsys,
+                                        {"shells": 4, "persistence_window": 3})
+        assert code == 0
+        res = json.loads(out)["result"]
+        assert res["shells_used"] == 4
+        assert res["diagnostics"]["samples_per_shell"][0] > 0
+
+
+class TestStrictJson:
+    def test_emit_non_finite(self, problem_file, capsys, monkeypatch):
+        def handler(args, prob, cfg):
+            return {"x": math.inf, "y": [-math.inf, math.nan, 1.5]}, []
+
+        monkeypatch.setitem(cli._HANDLERS, "validate", handler)
+        code, out, _ = run(capsys, "validate", "--problem", problem_file)
+        assert code == 0
+        env = json.loads(out, parse_constant=reject)
+        assert env["result"] == {"x": "inf", "y": ["-inf", "nan", 1.5]}
+
+    def test_verify_summary_non_finite(self, tmp_path, capsys, monkeypatch):
+        def suite(filter=None, cfg=None, progress=None):
+            return {"cases": [{"name": "c", "distance": math.inf}],
+                    "counts": {"fail": 0}}
+
+        monkeypatch.setattr(cli, "run_paper_suite", suite)
+        dst = tmp_path / "summary.json"
+        code, out, _ = run(capsys, "verify", "--out", str(dst))
+        assert code == 0
+        for text in (out, dst.read_text()):
+            summary = json.loads(text, parse_constant=reject)
+            assert summary["cases"][0]["distance"] == "inf"
 
 
 class TestVerify:

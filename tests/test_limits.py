@@ -7,14 +7,15 @@ from infcone import dsl
 from infcone.cones import Status, cone_distance, contains_direction
 from infcone.limits import (ApproachSpec, contingent_cone, divergent,
                             frechet_normal_cone, limiting_normal_cone,
-                            normal_cone_at_infinity_total, outer_limit)
+                            normal_cone_at_infinity_total, outer_limit,
+                            tail_levels)
 from infcone.sets import ClosedSet, SetError
 
 
 def synthetic_approach(dim=2, levels=10):
     def sampler(j):
         return np.full((5, dim), float(j + 1))
-    return ApproachSpec("synthetic", dim, sampler, levels)
+    return ApproachSpec(dim, sampler, levels)
 
 
 class TestOuterLimit:
@@ -40,8 +41,7 @@ class TestOuterLimit:
         assert res.diagnostics["flicker"]
 
     def test_no_samples_is_empty(self, fast_cfg):
-        ap = ApproachSpec("synthetic", 2,
-                          lambda j: np.zeros((0, 2)), 10)
+        ap = ApproachSpec(2, lambda j: np.zeros((0, 2)), 10)
         res = outer_limit(lambda j, P: P, ap, fast_cfg)
         assert res.cone.is_empty
 
@@ -71,6 +71,31 @@ class TestOuterLimit:
                         fast_cfg.replace(threads=8))
         assert cone_distance(a.cone, b.cone) == 0.0
         assert a.converged == b.converged
+
+
+class TestTailOnly:
+    def test_tail_levels(self):
+        assert tail_levels(10, 4) == range(6, 10)
+        assert tail_levels(2, 4) == range(0, 2)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_samples_only_the_shells_read(self, fast_cfg, threads):
+        # window 3: the cone reads shells 7-9, the drift test shells 6-8
+        assert fast_cfg.persistence_window == 3
+        calls = []
+
+        def sampler(j):
+            calls.append(j)
+            return np.full((5, 2), float(j + 1))
+
+        e1 = np.array([[1.0, 0.0]])
+        res = outer_limit(lambda j, P: e1, ApproachSpec(2, sampler, 10),
+                          fast_cfg.replace(threads=threads))
+        assert sorted(calls) == [6, 7, 8, 9]
+        assert res.diagnostics["samples_per_shell"] == [0] * 6 + [5] * 4
+        assert res.persistence == [[6, 7, 8, 9]]
+        assert res.shells_used == 10
+        assert res.cone.status == Status.RAYS and res.converged
 
 
 def make_set(text, dim, name="S"):

@@ -15,6 +15,7 @@ from infcone.config import RunConfig
 from infcone.limits import (_first_seen, _match_matrix, _tail_runs,
                             limit_points)
 from infcone.optimality import OrderingCone, scalarize
+from infcone.sets import _choose_columns, _interleave
 
 CFG = RunConfig(shells=4, samples_per_shell=200, probes_per_level=40)
 ORTHANT = OrderingCone([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
@@ -304,3 +305,60 @@ def test_tail_runs_match_per_shell_reference(case):
         want_mask, want_runs = per_shell_tail(
             cands, shell_dirs, shell_full, sampled, last, window, cos_thr)
         assert np.array_equal(mask, want_mask) and runs == want_runs
+
+
+def reduction_columns(allowed, u):
+    """Reference: the column choice by reductions along the short axis."""
+    counts = allowed.sum(axis=1)
+    target = np.floor(u * np.maximum(counts, 1))
+    col = np.argmax(np.cumsum(allowed, axis=1) > target[:, None], axis=1)
+    return np.where(counts > 0, col, -1)
+
+
+@st.composite
+def column_masks(draw):
+    """(B, 2-3) masks with all-False and all-True rows, and draws in [0, 1)."""
+    B = draw(st.sampled_from([1, 2, 7, 256, 1000]))
+    cols = draw(st.integers(2, 3))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    allowed = gen.random((B, cols)) < draw(st.sampled_from([0.0, 0.3, 0.7,
+                                                            1.0]))
+    allowed[gen.random(B) < 0.1] = False
+    u = gen.random(B)
+    u[gen.random(B) < 0.05] = np.nextafter(1.0, 0.0)
+    return allowed, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_masks())
+def test_choose_columns_matches_reductions(case):
+    allowed, u = case
+    got = _choose_columns(allowed, u)
+    assert np.array_equal(got, reduction_columns(allowed, u))
+    assert ((got == -1) == ~allowed.any(axis=1)).all()
+
+
+def round_robin(arrays):
+    """Reference: one row from each array in turn, skipping used-up ones."""
+    arrays = [a for a in arrays if len(a)]
+    if not arrays:
+        return None
+    rows, idx = [], [0] * len(arrays)
+    while len(rows) < sum(len(a) for a in arrays):
+        for ai, a in enumerate(arrays):
+            if idx[ai] < len(a):
+                rows.append(a[idx[ai]])
+                idx[ai] += 1
+    return np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), max_size=5))
+def test_interleave_matches_round_robin(lengths):
+    arrays, start = [], 0
+    for k in lengths:
+        arrays.append(np.arange(start, start + 2 * k, dtype=float)
+                      .reshape(k, 2))
+        start += 2 * k
+    got, want = _interleave(arrays), round_robin(arrays)
+    assert (got is None and want is None) or np.array_equal(got, want)
