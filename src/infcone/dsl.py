@@ -548,6 +548,7 @@ class _Parser:
         self.diags = diags
         self.toks = _tokenize(text, where, diags)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -577,52 +578,74 @@ class _Parser:
         return Predicate(conjs, self.dim)
 
     def _or_term(self):
-        node = self._and_term()
+        terms = [self._and_term()]
         while self.peek()[1] == "||":
             self.next()
-            node = ("or", node, self._and_term())
-        return node
+            terms.append(self._and_term())
+        return ("or", terms)
 
     def _and_term(self):
-        node = self._atom_pred()
+        terms = [self._atom_pred()]
         while self.peek()[1] == "&&":
             self.next()
-            node = ("and", node, self._atom_pred())
-        return node
+            terms.append(self._atom_pred())
+        return ("and", terms)
 
     def _atom_pred(self):
         # Either a parenthesized sub-predicate or a comparison.  Both can
         # start with '('; backtrack on comparison operators.
-        save = self.i
+        save, depth = self.i, self.depth
         if self.peek()[1] == "(":
-            self.next()
+            self.open()
             try:
                 node = self._or_term()
                 self.expect(")")
                 if self.peek()[1] in ("<=", ">=", "==", "<", ">", "="):
                     # it was a parenthesized expression after all
                     raise _Backtrack()
+                self.depth -= 1
                 return node
             except (_Backtrack, ParseError):
                 # comparisons may also fail mid-way; re-parse as comparison
                 del self.diags[:]
-                self.i = save
+                self.i, self.depth = save, depth
         return self._comparison()
 
     def _comparison(self):
-        lhs = self.parse_expr_inner()
+        lhs = self.shallow(self.parse_expr_inner())
         kind, val, _ = self.peek()
         if val == "=":
             self.fail("'=' is not a comparison; use '=='")
         if val not in ("<=", ">=", "==", "<", ">"):
             self.fail("expected a comparison operator")
         self.next()
-        rhs = self.parse_expr_inner()
+        rhs = self.shallow(self.parse_expr_inner())
         return ("cmp", Comparison(lhs, val, rhs))
+
+    def open(self):
+        """Consume a '(' and enter one nesting level (at most _MAX_DEPTH)."""
+        if self.depth >= _MAX_DEPTH:
+            self.fail("parentheses nest deeper than %d" % _MAX_DEPTH,
+                      code="E_DEPTH")
+        self.expect("(")
+        self.depth += 1
+
+    def shallow(self, e):
+        """e, when its tree is at most _MAX_DEPTH levels deep."""
+        level, height = [e], 0
+        while level:
+            height += 1
+            if height > _MAX_DEPTH:
+                self.diags.append(Diagnostic(
+                    "E_DEPTH", "expression nests deeper than %d levels"
+                    % _MAX_DEPTH, self.where))
+                raise ParseError(self.diags)
+            level = [c for x in level for c in _children(x)]
+        return e
 
     # expressions
     def parse_expr(self):
-        e = self.parse_expr_inner()
+        e = self.shallow(self.parse_expr_inner())
         if self.peek()[0] != "eof":
             self.fail("trailing input after expression")
         return e
@@ -646,13 +669,14 @@ class _Parser:
 
     def _unary(self):
         # ^ binds tighter than unary minus: -v1^2 == -(v1^2)
-        if self.peek()[1] == "-":
-            self.next()
-            return Neg(self._unary())
-        if self.peek()[1] == "+":
-            self.next()
-            return self._unary()
-        return self._power()
+        signs = []
+        while self.peek()[1] in ("-", "+"):
+            signs.append(self.next()[1])
+        node = self._power()
+        for sign in reversed(signs):
+            if sign == "-":
+                node = Neg(node)
+        return node
 
     def _power(self):
         base = self._atom()
@@ -684,20 +708,24 @@ class _Parser:
                 return Var(idx - 1)
             if val in ("exp", "log", "sin", "cos", "sqrt", "cbrt", "abs",
                        "min", "max"):
-                self.expect("(")
+                self.open()
                 args = [self.parse_expr_inner()]
                 if val in ("min", "max"):
                     self.expect(",")
                     args.append(self.parse_expr_inner())
                 self.expect(")")
+                self.depth -= 1
                 return Call(val, args)
             if val == "pi":
                 return Num(math.pi)
             self.i -= 1
             self.fail("unknown identifier %r" % val, code="E_UNKNOWN_ID")
         if val == "(":
+            self.i -= 1
+            self.open()
             e = self.parse_expr_inner()
             self.expect(")")
+            self.depth -= 1
             return e
         self.i -= 1
         self.fail("expected a number, variable, function or '('")
@@ -708,23 +736,29 @@ class _Backtrack(Exception):
 
 
 _MAX_DNF_PIECES = 64
+# nesting limit for parentheses and for expression trees, well inside the
+# interpreter's recursion limit for the recursive passes over an Expr
+_MAX_DEPTH = 100
 
 
 def _to_dnf(tree, where, diags):
     """Distribute and/or into a list of Conj (DNF depth 2)."""
     if tree[0] == "cmp":
         return [Conj([tree[1]])]
-    left = _to_dnf(tree[1], where, diags)
-    right = _to_dnf(tree[2], where, diags)
-    if tree[0] == "and":
-        out = [Conj(a.comparisons + b.comparisons)
-               for a in left for b in right]
-    else:
-        out = left + right
-    if len(out) > _MAX_DNF_PIECES:
-        diags.append(Diagnostic("E_DNF", "predicate explodes past %d DNF "
-                                "pieces" % _MAX_DNF_PIECES, where))
-        raise ParseError(diags)
+    out = None
+    for term in tree[1]:
+        part = _to_dnf(term, where, diags)
+        if out is None:
+            out = part
+        elif tree[0] == "and":
+            out = [Conj(a.comparisons + b.comparisons)
+                   for a in out for b in part]
+        else:
+            out = out + part
+        if len(out) > _MAX_DNF_PIECES:
+            diags.append(Diagnostic("E_DNF", "predicate explodes past %d "
+                                    "DNF pieces" % _MAX_DNF_PIECES, where))
+            raise ParseError(diags)
     return out
 
 
@@ -883,57 +917,82 @@ def _parse_problem_json(text):
         diags.append(Diagnostic("E_SYNTAX", "invalid JSON: %s" % e.msg,
                                 "<document>", line=e.lineno, col=e.colno))
         raise ParseError(diags)
+    except RecursionError:
+        diags.append(Diagnostic("E_DEPTH", "JSON nested too deeply",
+                                "<document>"))
+        raise ParseError(diags)
+    _typed(doc, dict, "<document>", diags)
     prob = ProblemDef()
     seen = set()
 
-    def check_name(name, where):
-        if not _NAME_RE.match(name):
-            diags.append(Diagnostic("E_SYNTAX", "bad entity name %r" % name,
-                                    where))
-            raise ParseError(diags)
-        if name in seen:
-            diags.append(Diagnostic("E_SYNTAX", "duplicate entity name %r"
-                                    % name, where))
-            raise ParseError(diags)
-        seen.add(name)
+    def entities(section):
+        """(name, spec, JSON path) for each entry of a top-level object."""
+        if doc.get(section) is None:
+            return
+        for name, spec in _typed(doc[section], dict, section, diags).items():
+            where = "%s.%s" % (section, name)
+            if not _NAME_RE.match(name):
+                diags.append(Diagnostic("E_SYNTAX", "bad entity name %r"
+                                        % name, where))
+                raise ParseError(diags)
+            if name in seen:
+                diags.append(Diagnostic("E_SYNTAX", "duplicate entity name "
+                                        "%r" % name, where))
+                raise ParseError(diags)
+            seen.add(name)
+            yield name, _typed(spec, dict, where, diags), where
 
-    for name, spec in (doc.get("sets") or {}).items():
-        where = "sets.%s" % name
-        check_name(name, where)
+    def string(spec, key, where):
+        return _typed(spec.get(key, ""), str, "%s.%s" % (where, key), diags)
+
+    for name, spec, where in entities("sets"):
         dim = _require_int(spec, "dim", where, diags)
-        pred = parse_predicate(spec.get("where", ""), dim, where, diags)
-        prob.sets[name] = SetDef(name, dim, pred,
-                                 spec.get("unbounded", True))
-    for name, spec in (doc.get("functions") or {}).items():
-        where = "functions.%s" % name
-        check_name(name, where)
+        pred = parse_predicate(string(spec, "where", where), dim, where,
+                               diags)
+        unbounded = _typed(spec.get("unbounded", True), bool,
+                           where + ".unbounded", diags)
+        prob.sets[name] = SetDef(name, dim, pred, unbounded)
+    for name, spec, where in entities("functions"):
         n = _require_int(spec, "n", where, diags)
         pieces = []
         if "value" in spec:
-            pieces.append((None, parse_expr(spec["value"], n, where, diags)))
-        for k, pc in enumerate(spec.get("pieces", ())):
+            pieces.append((None, parse_expr(string(spec, "value", where), n,
+                                            where, diags)))
+        for k, pc in enumerate(_typed(spec.get("pieces", []), list,
+                                      where + ".pieces", diags)):
             pw = "%s.pieces[%d]" % (where, k)
+            _typed(pc, dict, pw, diags)
+            if "value" not in pc:
+                diags.append(Diagnostic("E_SYNTAX", "piece needs 'value'",
+                                        pw))
+                raise ParseError(diags)
             region = None
             if pc.get("where") is not None:
-                region = parse_predicate(pc["where"], n, pw, diags)
-            pieces.append((region, parse_expr(pc["value"], n, pw, diags)))
+                region = parse_predicate(string(pc, "where", pw), n, pw,
+                                         diags)
+            pieces.append((region, parse_expr(string(pc, "value", pw), n, pw,
+                                              diags)))
         if not pieces:
             diags.append(Diagnostic("E_SYNTAX", "function needs 'value' or "
                                     "'pieces'", where))
             raise ParseError(diags)
         prob.functions[name] = FuncDef(name, n, pieces)
-    for name, spec in (doc.get("mappings") or {}).items():
-        where = "mappings.%s" % name
-        check_name(name, where)
+    for name, spec, where in entities("mappings"):
         n = _require_int(spec, "n", where, diags)
         m = _require_int(spec, "m", where, diags)
         graph = None
         discrete = None
         if "graph" in spec:
-            graph = parse_predicate(spec["graph"], n + m, where, diags)
+            graph = parse_predicate(string(spec, "graph", where), n + m,
+                                    where, diags)
         elif "discrete" in spec:
-            dspec = spec["discrete"]
-            atom = parse_expr(dspec["atom"], n, where + ".discrete", diags)
+            dw = where + ".discrete"
+            dspec = _typed(spec["discrete"], dict, dw, diags)
+            if "atom" not in dspec:
+                diags.append(Diagnostic("E_SYNTAX", "discrete mapping needs "
+                                        "'atom'", dw))
+                raise ParseError(diags)
+            atom = parse_expr(string(dspec, "atom", dw), n, dw, diags)
             domain = dspec.get("domain", "naturals")
             if domain not in ("naturals", "integers"):
                 diags.append(Diagnostic("E_SYNTAX", "discrete domain must "
@@ -945,22 +1004,31 @@ def _parse_problem_json(text):
                                     "'discrete'", where))
             raise ParseError(diags)
         prob.mappings[name] = MapDef(name, n, m, graph, discrete)
-    for name, spec in (doc.get("cones") or {}).items():
-        where = "cones.%s" % name
-        check_name(name, where)
+    for name, spec, where in entities("cones"):
         gens = spec.get("generators")
         ip = spec.get("interior_point")
         if not gens or ip is None:
             diags.append(Diagnostic("E_SYNTAX", "cone needs 'generators' "
                                     "and 'interior_point'", where))
             raise ParseError(diags)
+        vectors = [(g, "%s.generators[%d]" % (where, k))
+                   for k, g in enumerate(_typed(gens, list,
+                                                where + ".generators",
+                                                diags))]
+        for vec, path in vectors + [(ip, where + ".interior_point")]:
+            _typed(vec, list, path, diags)
+            if not vec or not all(map(_finite_number, vec)):
+                diags.append(Diagnostic("E_TYPE", "must be a non-empty "
+                                        "array of numbers", path))
+                raise ParseError(diags)
         dims = {len(g) for g in gens} | {len(ip)}
         if len(dims) != 1:
             diags.append(Diagnostic("E_DIM", "inconsistent cone dimensions",
                                     where))
             raise ParseError(diags)
         prob.cones[name] = ConeDef(name, gens, ip)
-    prob.config = dict(doc.get("config") or {})
+    if doc.get("config") is not None:
+        prob.config = dict(_typed(doc["config"], dict, "config", diags))
     return prob
 
 
@@ -1008,9 +1076,31 @@ def _parse_problem_lines(text):
     return prob
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               bool: "true or false"}
+
+
+def _typed(value, kind, where, diags):
+    """value, when it is of the JSON type `kind` (a key of _JSON_TYPES)."""
+    if not isinstance(value, kind):
+        diags.append(Diagnostic("E_TYPE", "must be %s" % _JSON_TYPES[kind],
+                                where))
+        raise ParseError(diags)
+    return value
+
+
+def _finite_number(x):
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _require_int(spec, field, where, diags):
     v = spec.get(field)
-    if not isinstance(v, int) or v < 1:
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
         diags.append(Diagnostic("E_DIM", "'%s' must be a positive integer"
                                 % field, where))
         raise ParseError(diags)

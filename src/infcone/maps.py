@@ -18,7 +18,7 @@ from .limits import (ApproachSpec, divergent, limit_points,
                      limiting_normal_cone, normal_cone_at_infinity,
                      normal_cone_at_infinity_total, outer_limit, tail_levels)
 from .sets import (ClosedSet, SetError, Shell, epigraph_set, full_space,
-                   graph_of_function, graph_set)
+                   graph_of_function, graph_set, nearest_points)
 from .verdict import Verdict
 
 
@@ -252,7 +252,6 @@ def _pinned_min(S, pinned_idx, pinned_vals, free_idx, target, starts, cfg):
 
     Returns (best_dist, best_point_free or None, residual).
     """
-    from scipy.optimize import minimize
     best = (INF, None, INF)
     pinned = set(int(i) for i in pinned_idx)
     full0 = np.empty(S.dim)
@@ -260,18 +259,14 @@ def _pinned_min(S, pinned_idx, pinned_vals, free_idx, target, starts, cfg):
     full0[free_idx] = target
     start_pts = None
 
-    def assemble(z):
-        v = full0.copy()
-        v[free_idx] = z
-        return v
-
     def accepted(piece, z):
         """(distance, z, residual) when z passes the residual check."""
         if not np.isfinite(z).all():
             return None
-        v = assemble(z)
-        resid = float(piece.residual(v[None, :])[0])
-        if resid > 1e-7 * (1.0 + np.linalg.norm(v)):
+        v = full0.copy()
+        v[free_idx] = z
+        resid, ok = piece.accepts(v)
+        if not ok:
             return None
         return float(np.linalg.norm(z - target)), z, resid
 
@@ -298,33 +293,11 @@ def _pinned_min(S, pinned_idx, pinned_vals, free_idx, target, starts, cfg):
                 if cand[0] < best[0]:
                     best = cand
                 continue
-        cons = []
-        for ci in free_cis:
-            c = piece.comparisons[ci]
-            sgn = 1.0 if c.is_eq else -1.0
-
-            def fun(z, piece=piece, ci=ci, sgn=sgn):
-                return sgn * float(piece.gval(ci, assemble(z)[None, :])[0])
-
-            entry = {"type": "eq" if c.is_eq else "ineq", "fun": fun}
-            if c.smooth:
-                def jac(z, piece=piece, ci=ci, sgn=sgn):
-                    g = piece.grad(ci, assemble(z)[None, :])[0, free_idx]
-                    return sgn * np.where(np.isfinite(g), g, 0.0)
-                entry["jac"] = jac
-            cons.append(entry)
         if start_pts is None:
             start_pts = starts()
-        for st in start_pts:
-            try:
-                res = minimize(
-                    lambda z: float(np.sum((z - target) ** 2)), st,
-                    jac=lambda z: 2.0 * (z - target),
-                    constraints=cons, method="SLSQP",
-                    options={"maxiter": 200, "ftol": 1e-14})
-            except (ValueError, OverflowError):
-                continue
-            cand = accepted(piece, np.asarray(res.x, dtype=float))
+        for z in nearest_points(piece, full0, free_idx, free_cis,
+                                start_pts):
+            cand = accepted(piece, z)
             if cand is not None and cand[0] < best[0]:
                 best = cand
     return best

@@ -128,6 +128,12 @@ class Piece:
             out = np.maximum(out, v / self.rhs_scale(ci, P))
         return out
 
+    def accepts(self, v):
+        """(residual, ok) for one full point v: the projections' feasibility
+        test, residual <= 1e-7 (1 + |v|)."""
+        resid = float(self.residual(v[None, :])[0])
+        return resid, resid <= 1e-7 * (1.0 + np.linalg.norm(v))
+
 
 # offset ladder for inequality biasing: mostly exact boundary, plus points
 # at geometrically spaced interior distances so that constraint-gradient
@@ -141,6 +147,72 @@ _ACT_TOL = 1e-6
 # consecutive rounds that accept nothing before a sampler gives up: the
 # region is empty or unreachable (no suite shell ever accepts after this)
 _DRY_ROUNDS = 4
+
+# relative change of |v - q|^2 per iteration below which an accepted SLSQP
+# iterate counts as settled (nearest_points)
+_SETTLE_RTOL = 1e-13
+
+
+def nearest_points(piece, q, free_idx, cis, starts):
+    """SLSQP runs of min |v - q|^2 over points v of the piece that agree
+    with q off the coordinates free_idx, one run per start.
+
+    The comparisons cis are the constraints; the piece's other comparisons
+    must not involve a free coordinate.  A start and each yielded result
+    hold the free coordinates alone.  Each run stops at maxiter=200, at
+    ftol=1e-14, or (status 99) at an iterate that passes Piece.accepts
+    once |v - q|^2 has changed by at most _SETTLE_RTOL of itself over each
+    of the last two iterations: ftol is an absolute bound, and at
+    |v - q|^2 of 1e4 and more float rounding never gets below it.  An
+    iterate that fails Piece.accepts is never stopped early, since
+    stalled infeasible starts can still escape.  Runs that raise are
+    skipped.
+    """
+    from scipy.optimize import minimize
+    target = q[free_idx]
+
+    def embed(z):
+        v = q.copy()
+        v[free_idx] = z
+        return v
+
+    cons = []
+    for ci in cis:
+        c = piece.comparisons[ci]
+        sgn = 1.0 if c.is_eq else -1.0
+
+        def fun(z, ci=ci, sgn=sgn):
+            return sgn * float(piece.gval(ci, embed(z)[None, :])[0])
+
+        entry = {"type": "eq" if c.is_eq else "ineq", "fun": fun}
+        if c.smooth:
+            def jac(z, ci=ci, sgn=sgn):
+                g = piece.grad(ci, embed(z)[None, :])[0, free_idx]
+                return sgn * np.where(np.isfinite(g), g, 0.0)
+            entry["jac"] = jac
+        cons.append(entry)
+
+    for st in starts:
+        seen = []
+
+        def settle(zk):
+            f = float(np.sum((zk - target) ** 2))
+            seen.append(f)
+            if len(seen) >= 3 \
+                    and abs(f - seen[-2]) <= _SETTLE_RTOL * f \
+                    and abs(seen[-2] - seen[-3]) <= _SETTLE_RTOL * f \
+                    and piece.accepts(embed(zk))[1]:
+                raise StopIteration
+
+        try:
+            res = minimize(
+                lambda z: float(np.sum((z - target) ** 2)), st,
+                jac=lambda z: 2.0 * (z - target),
+                constraints=cons, method="SLSQP", callback=settle,
+                options={"maxiter": 200, "ftol": 1e-14})
+        except (ValueError, OverflowError):
+            continue
+        yield np.asarray(res.x, dtype=float)
 
 
 def _choose_columns(allowed, u):
@@ -508,8 +580,6 @@ class ClosedSet:
             return self._project_discrete(q)
         if self.contains(q, cfg.eq_tol):
             return ProjectionResult(q, 0.0, [q], 0.0)
-        from scipy.optimize import minimize
-
         n_starts = cfg.projection_starts if starts is None else starts
         rng = cfg.rng("project", self.name,
                       np.round(q, 9).tobytes().hex())
@@ -517,38 +587,19 @@ class ClosedSet:
         cand = []
         best_resid = np.inf
         for piece in self.pieces:
-            cons = []
-            for ci, c in enumerate(piece.comparisons):
-                def fun(v, piece=piece, ci=ci, sgn=(1.0 if c.is_eq else -1.0)):
-                    return sgn * float(piece.gval(ci, v[None, :])[0])
-                entry = {"type": "eq" if c.is_eq else "ineq", "fun": fun}
-                if c.smooth:
-                    def jac(v, piece=piece, ci=ci,
-                            sgn=(1.0 if c.is_eq else -1.0)):
-                        g = piece.grad(ci, v[None, :])[0]
-                        return sgn * np.where(np.isfinite(g), g, 0.0)
-                    entry["jac"] = jac
-                cons.append(entry)
             pts = [q]
             scales = (0.05, 0.2, 1.0, 3.0)
             for k in range(max(n_starts - 1, len(scales))):
                 s = scales[k % len(scales)]
                 pts.append(q + s * qn * rng.standard_normal(self.dim))
-            for st in pts[:max(n_starts, 1) + 1]:
-                try:
-                    res = minimize(
-                        lambda v: float(np.sum((v - q) ** 2)), st,
-                        jac=lambda v: 2.0 * (v - q),
-                        constraints=cons, method="SLSQP",
-                        options={"maxiter": 200, "ftol": 1e-14})
-                except (ValueError, OverflowError):
-                    continue
-                x = np.asarray(res.x, dtype=float)
+            for x in nearest_points(piece, q, np.arange(self.dim),
+                                    range(len(piece.comparisons)),
+                                    pts[:max(n_starts, 1) + 1]):
                 if not np.isfinite(x).all():
                     continue
-                resid = float(piece.residual(x[None, :])[0])
+                resid, ok = piece.accepts(x)
                 best_resid = min(best_resid, resid)
-                if resid <= 1e-7 * (1.0 + np.linalg.norm(x)):
+                if ok:
                     cand.append((float(np.linalg.norm(x - q)), x, resid))
         if not cand:
             raise ProjectionFailure(

@@ -225,6 +225,30 @@ class TestConfigValues:
         assert res["diagnostics"]["samples_per_shell"][0] > 0
 
 
+class TestBadDocuments:
+    """Documents of the wrong shape exit 2 with the offending JSON path."""
+
+    @pytest.mark.parametrize("doc, path", [
+        ({"sets": {"A": 5}}, "sets.A"),
+        ({"mappings": {"F": {"n": 1, "m": 1,
+                             "discrete": {"domain": "naturals"}}}},
+         "mappings.F.discrete"),
+        ({"sets": {"A": {"dim": 1, "where": 5}}}, "sets.A.where"),
+        ({"sets": {"A": {"dim": 1,
+                         "where": "(" * 2000 + "v1" + ")" * 2000 + " >= 0"}}},
+         "sets.A"),
+        ({"config": [1]}, "config"),
+    ], ids=["set-not-object", "discrete-without-atom", "where-not-string",
+            "deep-parentheses", "config-not-object"])
+    def test_exit_2_with_path(self, tmp_path, capsys, doc, path):
+        prob = tmp_path / "bad.json"
+        prob.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", "--problem", str(prob))
+        assert code == 2 and out == ""
+        (diag,) = json.loads(err)["diagnostics"]
+        assert diag.endswith("(%s)" % path) or "(%s:" % path in diag
+
+
 class TestStrictJson:
     def test_emit_non_finite(self, problem_file, capsys, monkeypatch):
         def handler(args, prob, cfg):

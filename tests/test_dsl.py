@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from infcone import dsl
 from infcone.dsl import (BOUNDARY, INSIDE, OUTSIDE, ParseError, eval_expr,
@@ -113,3 +114,74 @@ class TestProblems:
         with pytest.raises(ParseError) as ei:
             parse_problem('{"sets": {')
         assert ei.value.diagnostics
+
+
+# -- parse_problem is total ----------------------------------------------
+
+# any JSON value, a few levels deep: what a wrong-typed field may hold
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+_TEXTS = st.sampled_from(
+    ["v1 >= 0", "v1^2 + v2 <= 1", "(v1 >= 0 || v2 >= 0) && v1 <= 2",
+     "exp(v1) == v2", "v1 >=", "v9 >= 0", "", "min(v1, v2)", "v1 = 0"]) \
+    | st.integers(0, 2500).map(
+        lambda k: "(" * k + "v1" + ")" * k + " >= 0") \
+    | st.integers(0, 2500).map(lambda k: "-" * k + "v1 >= 0") \
+    | st.integers(1, 1500).map(lambda k: " && ".join(["v1 >= 0"] * k)) \
+    | st.integers(1, 1500).map(lambda k: "+".join(["v1"] * k) + " >= 0")
+
+
+def _or_wrong(valid):
+    """Mostly the valid strategy, sometimes any JSON value."""
+    return st.one_of(valid, valid, valid, _ANY_JSON)
+
+
+def _section(spec):
+    names = st.sampled_from(["A", "B", "Half", "1bad", ""])
+    return _or_wrong(st.dictionaries(names, _or_wrong(spec), max_size=2))
+
+
+def _entry(**fields):
+    return st.fixed_dictionaries(
+        {}, optional={k: _or_wrong(v) for k, v in fields.items()})
+
+
+_DIMS = st.integers(-1, 3)
+_VECTORS = st.lists(st.integers(-2, 2) | st.floats(), max_size=3)
+_DOCS = st.fixed_dictionaries({}, optional={
+    "sets": _section(_entry(dim=_DIMS, where=_TEXTS,
+                            unbounded=st.booleans())),
+    "functions": _section(_entry(
+        n=_DIMS, value=_TEXTS,
+        pieces=st.lists(_or_wrong(_entry(where=_TEXTS, value=_TEXTS)),
+                        max_size=2))),
+    "mappings": _section(_entry(
+        n=_DIMS, m=_DIMS, graph=_TEXTS,
+        discrete=_entry(atom=_TEXTS,
+                        domain=st.sampled_from(["naturals", "reals"])))),
+    "cones": _section(_entry(generators=st.lists(_VECTORS, max_size=2),
+                             interior_point=_VECTORS)),
+    "config": _or_wrong(st.dictionaries(
+        st.sampled_from(["shells", "seed"]), st.integers(0, 9))),
+}).map(json.dumps)
+# documents nested past the JSON decoder's recursion, and the line format
+_RAW = st.integers(1, 3000).map(
+    lambda k: '{"config": ' + "[" * k + "]" * k + "}") \
+    | st.text(max_size=40) | st.just("set A(1) := v1 >= 0\nset A(1) := v1")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DOCS | _RAW)
+def test_parse_problem_is_total(text):
+    # a ProblemDef, which can be printed, or a ParseError; nothing else
+    try:
+        prob = parse_problem(text)
+    except ParseError as e:
+        assert e.diagnostics
+        return
+    assert isinstance(prob, dsl.ProblemDef)
+    prob.pretty()

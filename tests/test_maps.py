@@ -160,6 +160,30 @@ class TestFiberBox:
         assert solver_calls == {"minimize": 0, "sample_fiber": 0}
 
 
+class TestSettleRule:
+    """SLSQP solves stop once an accepted iterate has settled."""
+
+    def test_parabola_shift_preimage(self, fast_cfg, slsqp_statuses):
+        # the nearest point (z + t^2, t) solves 2t^3 + (2(z - a) + 1)t = b;
+        # under the absolute ftol alone all three solves run to maxiter
+        z, (a, b) = 0.01, (2304.4104798986477, -2874.1208773919684)
+        roots = np.roots([2.0, 0.0, 2.0 * (z - a) + 1.0, -b])
+        ref = min(np.hypot(z + t * t - a, t - b)
+                  for t in roots[np.abs(roots.imag) <= 1e-9].real)
+        got = dist_to_preimage(fixture_map("ParabolaShift"), z,
+                               np.array([a, b]), fast_cfg)
+        assert got == pytest.approx(ref, rel=1e-13)
+        assert slsqp_statuses and 9 not in slsqp_statuses
+
+    def test_half_line_parabola_preimage(self, fast_cfg):
+        # F^-1(z) = {sqrt z} for z > 0; the absolute ftol alone leaves the
+        # answer 2.6e-12 off
+        x0 = 1134.236591674426
+        got = dist_to_preimage(fixture_map("HalfLineParabola"), 0.05, x0,
+                               fast_cfg)
+        assert got == pytest.approx(x0 - np.sqrt(0.05), rel=1e-13)
+
+
 class TestJelonek:
     def test_hyperbola_asymptotic_value(self, fast_cfg):
         # F(x) = 1/x: the only asymptotic value in the window is 0

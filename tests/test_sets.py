@@ -9,6 +9,7 @@ from infcone.sets import (_NEWTON_ACCEPT, _NEWTON_ITERS, ClosedSet,
                           SetError, Shell, epigraph_set, full_space,
                           graph_of_function, indicator_graph,
                           intersection_set, points_to_csv, product_set)
+from infcone.suite import fixture_set
 
 
 def make_set(text, dim, name="S"):
@@ -236,6 +237,31 @@ class TestProjection:
         x = np.sqrt(1.5)
         d = np.linalg.norm([x, x ** 2] - np.array([0.0, 2.0]))
         assert res.dist == pytest.approx(d, abs=1e-5)
+
+
+class TestSettleRule:
+    """SLSQP stops once an accepted iterate has settled, and only then."""
+
+    # nearest points of the cusp v1^2 v2 >= 1, from a 1-D root scan of
+    # the boundary v2 = 1/v1^2 at 50 digits
+    CUSP = [((5.853749207621858, -2.0650186525764305), 2.0940987824923996),
+            ((-473.1792459755527, -1238.182721634686), 1238.1827261009933)]
+
+    def test_settled_solves_reach_the_nearest_point(self, slsqp_statuses):
+        # under the absolute ftol alone the solves wander in their last
+        # digits until maxiter and the answer is 1.7e-8 off
+        q, ref = self.CUSP[0]
+        res = fixture_set("CuspRegion").project(q, RunConfig(seed=0))
+        assert res.dist == pytest.approx(ref, rel=1e-11)
+        assert 99 in slsqp_statuses
+
+    def test_infeasible_stalls_are_not_stopped(self):
+        # a rule that also stops stalled iterates failing acceptance finds
+        # no projection here, or one of 4.1e6: the stalled infeasible
+        # starts are the ones that escape later
+        q, ref = self.CUSP[1]
+        res = fixture_set("CuspRegion").project(q, RunConfig(seed=0))
+        assert res.dist == pytest.approx(ref, rel=1e-10)
 
 
 class TestConstructors:
