@@ -23,9 +23,11 @@ import math
 
 import numpy as np
 
+from numpy.polynomial import polynomial as npoly
+
 from . import dsl
-from .dsl import (Comparison, Conj, Num, Predicate, Var, _ev, _eval_conj,
-                  shift_vars)
+from .dsl import (Bin, Call, Comparison, Conj, Neg, Num, Pow, Predicate, Var,
+                  _ev, _eval_conj, free_vars, shift_vars)
 
 
 class SetError(Exception):
@@ -151,15 +153,87 @@ _DRY_ROUNDS = 4
 # relative change of |v - q|^2 per iteration below which an accepted SLSQP
 # iterate counts as settled (nearest_points)
 _SETTLE_RTOL = 1e-13
+# highest degree _poly_in builds; past it the fiber goes to SLSQP
+_POLY_MAX_DEG = 16
+
+
+def _poly_in(e, k, q):
+    """Coefficients, lowest degree first, of e as a polynomial in
+    coordinate k with the other coordinates held at q; None when e is not
+    one of degree _POLY_MAX_DEG or less, or a coefficient is not finite."""
+    if isinstance(e, Num):
+        p = np.array([e.val])
+    elif isinstance(e, Var):
+        p = np.array([0.0, 1.0]) if e.idx == k else np.array([q[e.idx]])
+    elif isinstance(e, Call):
+        if k in free_vars(e):
+            return None
+        p = np.array([dsl.eval_expr(e, q)])
+    elif isinstance(e, Neg):
+        p = _poly_in(e.arg, k, q)
+        return None if p is None else -p
+    elif isinstance(e, Pow):
+        p = _poly_in(e.base, k, q)
+        if p is None or e.exp < 0 \
+                or (len(p) - 1) * e.exp > _POLY_MAX_DEG:
+            return None
+        p = npoly.polypow(p, e.exp)
+    elif isinstance(e, Bin):
+        a, b = _poly_in(e.l, k, q), _poly_in(e.r, k, q)
+        if a is None or b is None:
+            return None
+        if e.op == "+":
+            p = npoly.polyadd(a, b)
+        elif e.op == "-":
+            p = npoly.polysub(a, b)
+        elif e.op == "*" and len(a) + len(b) - 2 <= _POLY_MAX_DEG:
+            p = npoly.polymul(a, b)
+        elif e.op == "/" and len(b) == 1 and b[0] != 0.0:
+            p = a / b[0]
+        else:
+            return None
+    else:
+        return None
+    return p if np.isfinite(p).all() else None
+
+
+def _line_candidates(piece, q, k, cis):
+    """Points of coordinate k that contain the nearest point to q[k] of the
+    piece's fiber along v_k, or None unless every comparison in cis is a
+    polynomial in v_k.
+
+    A closed subset of the line meets its nearest point to q[k] at q[k] or
+    at a boundary point, where some comparison holds with equality; so
+    q[k] and the roots of each comparison contain it.  Complex roots give
+    their real part: rounding moves a double root off the axis.  One Newton
+    step polishes each root where it lowers |p|.
+    """
+    cands = [np.array([q[k]])]
+    for ci in cis:
+        p = _poly_in(piece.comparisons[ci].g, k, q)
+        if p is None:
+            return None
+        p = np.trim_zeros(p, "b")
+        if len(p) < 2:
+            continue
+        r = npoly.polyroots(p).real
+        with np.errstate(all="ignore"):
+            t = r - npoly.polyval(r, p) / npoly.polyval(r, npoly.polyder(p))
+            better = np.abs(npoly.polyval(t, p)) < np.abs(npoly.polyval(r, p))
+        cands.extend(np.array([x]) for x in np.where(better, t, r))
+    return cands
 
 
 def nearest_points(piece, q, free_idx, cis, starts):
-    """SLSQP runs of min |v - q|^2 over points v of the piece that agree
-    with q off the coordinates free_idx, one run per start.
+    """Candidate nearest points to q of the piece's points that agree with
+    q off the coordinates free_idx.
 
     The comparisons cis are the constraints; the piece's other comparisons
     must not involve a free coordinate.  A start and each yielded result
-    hold the free coordinates alone.  Each run stops at maxiter=200, at
+    hold the free coordinates alone.  With one free coordinate and
+    polynomial constraints, the results are the roots of _line_candidates
+    and the starts go unused.  Otherwise they are SLSQP runs of
+    min |v - q|^2, one per start.  Each run stops at maxiter=200, at
     ftol=1e-14, or (status 99) at an iterate that passes Piece.accepts
     once |v - q|^2 has changed by at most _SETTLE_RTOL of itself over each
     of the last two iterations: ftol is an absolute bound, and at
@@ -168,6 +242,11 @@ def nearest_points(piece, q, free_idx, cis, starts):
     stalled infeasible starts can still escape.  Runs that raise are
     skipped.
     """
+    if len(free_idx) == 1:
+        cands = _line_candidates(piece, q, int(free_idx[0]), cis)
+        if cands is not None:
+            yield from cands
+            return
     from scipy.optimize import minimize
     target = q[free_idx]
 

@@ -103,9 +103,16 @@ class TestDistances:
         assert distance_to_image(F, 0.0, 0.0, fast_cfg) == INF
 
     def test_dist_to_preimage(self, fast_cfg, solver_calls):
-        # with v2 pinned, v1 is free inside v1^2: not a box, so SLSQP runs
+        # with v2 pinned, v1 is free inside v1^2: not a box, but a
+        # polynomial in one free coordinate, so its roots answer
         F = make_map("v2 == v1^2")
         assert dist_to_preimage(F, 4.0, 0.0, fast_cfg) == \
+            pytest.approx(2.0, abs=1e-6)
+        assert dist_to_preimage(F, -1.0, 0.0, fast_cfg) == INF
+        assert solver_calls == {"minimize": 0, "sample_fiber": 0}
+        # exp(v1) is not a polynomial, so SLSQP runs
+        F = make_map("v2 == exp(v1)")
+        assert dist_to_preimage(F, 1.0, 2.0, fast_cfg) == \
             pytest.approx(2.0, abs=1e-6)
         assert dist_to_preimage(F, -1.0, 0.0, fast_cfg) == INF
         assert solver_calls["minimize"] > 0
@@ -140,16 +147,14 @@ class TestFiberBox:
         assert dist_to_preimage(F, -0.05, x0, fast_cfg) == \
             pytest.approx(x0, rel=1e-12)
 
-    def test_structure_cached_per_split(self, fast_cfg, solver_calls):
+    def test_structure_cached_per_split(self, fast_cfg):
         # one piece, both splits: x pinned is a box, y pinned is not
         F = make_map("v2 == v1^2")
         for _ in range(2):
             assert distance_to_image(F, 2.0, 1.0, fast_cfg) == \
                 pytest.approx(3.0, abs=1e-6)
-            assert solver_calls["minimize"] == 0
         assert dist_to_preimage(F, 4.0, 0.0, fast_cfg) == \
             pytest.approx(2.0, abs=1e-6)
-        assert solver_calls["minimize"] > 0
         assert len(F.graph.pieces[0].fiber_cache) == 2
 
     def test_empty_box(self, fast_cfg, solver_calls):
@@ -175,13 +180,37 @@ class TestSettleRule:
         assert got == pytest.approx(ref, rel=1e-13)
         assert slsqp_statuses and 9 not in slsqp_statuses
 
-    def test_half_line_parabola_preimage(self, fast_cfg):
-        # F^-1(z) = {sqrt z} for z > 0; the absolute ftol alone leaves the
-        # answer 2.6e-12 off
-        x0 = 1134.236591674426
-        got = dist_to_preimage(fixture_map("HalfLineParabola"), 0.05, x0,
+
+class TestLineFiber:
+    """A fiber along one free coordinate, cut out by polynomials, is
+    searched through the roots of its comparisons, not by SLSQP."""
+
+    @pytest.mark.parametrize("z, x0", [
+        (0.05, 1134.236591674426),
+        # SLSQP from x0, x0 +- 1 stalled at the infeasible root -sqrt z
+        (0.2, -483.4888086864186), (0.01, -8958.81253413347)])
+    def test_half_line_parabola_preimage(self, fast_cfg, slsqp_statuses,
+                                         z, x0):
+        # F^-1(z) = {sqrt z} for z > 0
+        got = dist_to_preimage(fixture_map("HalfLineParabola"), z, x0,
                                fast_cfg)
-        assert got == pytest.approx(x0 - np.sqrt(0.05), rel=1e-13)
+        assert got == pytest.approx(abs(x0 - np.sqrt(z)), rel=1e-13)
+        assert slsqp_statuses == []
+
+    def test_empty_fiber(self, fast_cfg, slsqp_statuses):
+        # v2 == v1^2 has no point at v2 = -0.2; the other piece is a box
+        x0 = 1259.8718510349286
+        got = dist_to_preimage(fixture_map("HalfLineParabola"), -0.2, x0,
+                               fast_cfg)
+        assert got == x0
+        assert slsqp_statuses == []
+
+    def test_non_polynomial_piece(self, fast_cfg, slsqp_statuses):
+        # ExpTail's v2 >= exp(v1) piece still goes to SLSQP; its
+        # v2 == v1^2 piece holds the nearest point sqrt z
+        got = dist_to_preimage(fixture_map("ExpTail"), 0.5, 3.0, fast_cfg)
+        assert got == pytest.approx(3.0 - np.sqrt(0.5), rel=1e-13)
+        assert slsqp_statuses
 
 
 class TestJelonek:

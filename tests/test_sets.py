@@ -238,6 +238,17 @@ class TestProjection:
         d = np.linalg.norm([x, x ** 2] - np.array([0.0, 2.0]))
         assert res.dist == pytest.approx(d, abs=1e-5)
 
+    def test_line_roots(self, fast_cfg, slsqp_statuses):
+        # a 1-D set cut out by polynomials projects through their roots:
+        # both nearest points of v1^2 == 4 to 0, and a double root
+        res = make_set("v1^2 == 4", 1).project(np.array([0.0]), fast_cfg)
+        assert res.dist == 2.0
+        assert sorted(m[0] for m in res.minimizers) == [-2.0, 2.0]
+        res = make_set("(v1 - 1)^2 <= 0", 1).project(np.array([5.0]),
+                                                      fast_cfg)
+        assert res.dist == pytest.approx(4.0, rel=1e-12)
+        assert slsqp_statuses == []
+
 
 class TestSettleRule:
     """SLSQP stops once an accepted iterate has settled, and only then."""
