@@ -31,10 +31,17 @@ from .wellposed import mordukhovich_criterion, well_posed_report
 _VERDICTS = ("Pass", "Fail", "Inconclusive")
 
 
-def _vec(text):
+def _vec(text, what, lo, hi=None):
+    """The coordinates in the argument `what`: from lo to hi of them (just
+    lo without hi), else a SetError, which exits 2."""
     if text is None:
         raise SetError("a required point/vector argument is missing")
-    return np.array([float(t) for t in text.replace(",", " ").split()])
+    v = np.array([float(t) for t in text.replace(",", " ").split()])
+    hi = lo if hi is None else hi
+    if not lo <= len(v) <= hi:
+        raise SetError("%s needs %s coordinate(s), got %d" % (
+            what, lo if lo == hi else "%d to %d" % (lo, hi), len(v)))
+    return v
 
 
 def _collect_statuses(obj, acc=None):
@@ -133,7 +140,7 @@ def _cmd_sample_set(args, prob, cfg):
 def _cmd_project(args, prob, cfg):
     S = _get_set(prob, args.set)
     try:
-        res = S.project(_vec(args.point), cfg)
+        res = S.project(_vec(args.point, "--point", S.dim), cfg)
         return res.to_json(), []
     except ProjectionFailure as e:
         return {"error": str(e), "best_residual": e.best_residual}, \
@@ -143,8 +150,9 @@ def _cmd_project(args, prob, cfg):
 def _cmd_normal_cone(args, prob, cfg):
     if args.at_infinity:
         if args.ybar is not None:
-            ybar = _vec(args.ybar)
-            dim = prob.sets[args.set].dim
+            dim = _get_set(prob, args.set).dim
+            # the value block is the last len(ybar) coordinates
+            ybar = _vec(args.ybar, "--ybar", 1, dim - 1)
             S = _get_set(prob, args.set, split=(dim - len(ybar), len(ybar)))
             res = normal_cone_at_infinity(S, ybar, cfg, method=args.method)
         else:
@@ -152,7 +160,7 @@ def _cmd_normal_cone(args, prob, cfg):
             res = normal_cone_at_infinity_total(S, cfg)
         return res.to_json(), []
     S = _get_set(prob, args.set)
-    x = _vec(args.x)
+    x = _vec(args.x, "--x", S.dim)
     if args.method == "frechet":
         cone = frechet_normal_cone(S, x, cfg)
     else:
@@ -163,14 +171,16 @@ def _cmd_normal_cone(args, prob, cfg):
 def _cmd_coderivative(args, prob, cfg):
     F = _get_map(prob, args.map)
     if args.at_infinity:
-        res = coderivative_at_infinity(F, _vec(args.ybar), cfg)
+        res = coderivative_at_infinity(F, _vec(args.ybar, "--ybar", F.m),
+                                       cfg)
         cone = res.cone
         payload = {"limsup": res.to_json()}
     else:
-        cone = coderivative_cone_at(F, _vec(args.x), _vec(args.y), cfg)
+        cone = coderivative_cone_at(F, _vec(args.x, "--x", F.n),
+                                    _vec(args.y, "--y", F.m), cfg)
         payload = {"cone": cone.to_json()}
     if args.v is not None:
-        vs = [_vec(args.v)]
+        vs = [_vec(args.v, "--v", F.m)]
     elif args.v_grid:
         vs = [np.atleast_1d(np.asarray(v, dtype=float))
               for v in _default_v_grid(F.m)]
@@ -187,7 +197,7 @@ def _cmd_coderivative(args, prob, cfg):
 def _cmd_jelonek(args, prob, cfg):
     F = _get_map(prob, args.map)
     if args.window:
-        w = _vec(args.window).reshape(F.m, 2)
+        w = _vec(args.window, "--window", 2 * F.m).reshape(F.m, 2)
     else:
         w = np.array([[-3.0, 3.0]] * F.m)
     return jelonek_set(F, w, cfg, mesh=args.mesh).to_json(), []
@@ -198,23 +208,26 @@ def _cmd_subdiff(args, prob, cfg):
         raise SetError("no function named %r in the problem" % args.function)
     f = prob.functions[args.function]
     if args.at_infinity:
-        ybar = 0.0 if args.ybar is None else float(_vec(args.ybar)[0])
+        ybar = 0.0 if args.ybar is None \
+            else float(_vec(args.ybar, "--ybar", 1)[0])
         res = subdifferential_at_infinity(f, ybar, cfg)
         return res.to_json(), []
-    basic, singular = point_subdifferential(f, _vec(args.x), cfg)
+    basic, singular = point_subdifferential(f, _vec(args.x, "--x", f.n),
+                                            cfg)
     return {"basic": basic.to_json(), "singular": singular.to_json()}, []
 
 
 def _cmd_wellposed(args, prob, cfg):
     F = _get_map(prob, args.map)
-    rep = well_posed_report(F, _vec(args.ybar), cfg, mu=args.mu,
-                            ell=args.ell)
+    rep = well_posed_report(F, _vec(args.ybar, "--ybar", F.m), cfg,
+                            mu=args.mu, ell=args.ell)
     return rep, _collect_statuses(rep)
 
 
 def _cmd_criterion(args, prob, cfg):
     F = _get_map(prob, args.map)
-    verdict, report = mordukhovich_criterion(F, _vec(args.ybar), cfg)
+    verdict, report = mordukhovich_criterion(
+        F, _vec(args.ybar, "--ybar", F.m), cfg)
     payload = {"verdict": verdict.to_json(), "report": report}
     return payload, _collect_statuses(payload)
 
@@ -228,8 +241,8 @@ def _cmd_fermat(args, prob, cfg):
     if args.cone not in prob.cones:
         raise SetError("no cone named %r in the problem" % args.cone)
     K = OrderingCone.from_conedef(prob.cones[args.cone])
-    payload = {"verdict": fermat_certificate(F, omega, K, _vec(args.ybar),
-                                             cfg).to_json()}
+    payload = {"verdict": fermat_certificate(
+        F, omega, K, _vec(args.ybar, "--ybar", F.m), cfg).to_json()}
     return payload, _collect_statuses(payload)
 
 

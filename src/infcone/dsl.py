@@ -739,6 +739,10 @@ _MAX_DNF_PIECES = 64
 # nesting limit for parentheses and for expression trees, well inside the
 # interpreter's recursion limit for the recursive passes over an Expr
 _MAX_DEPTH = 100
+# largest dim, n or m a problem may declare: the samplers hold grid_4d
+# (40,000) directions of that length, and past it a run only exhausts
+# memory
+MAX_DIM = 64
 
 
 def _to_dnf(tree, where, diags):
@@ -1058,7 +1062,7 @@ def _parse_problem_lines(text):
                                     % name, where, line=lineno))
             raise ParseError(diags)
         if kind == "set":
-            dim = int(d1)
+            dim = _dim(int(d1), "dim", where, diags, lineno)
             prob.sets[name] = SetDef(name, dim,
                                      parse_predicate(body, dim, where, diags))
         elif kind == "mapping":
@@ -1066,11 +1070,12 @@ def _parse_problem_lines(text):
                 diags.append(Diagnostic("E_SYNTAX", "mapping needs (n, m)",
                                         where, line=lineno))
                 raise ParseError(diags)
-            n, mm = int(d1), int(d2)
+            n = _dim(int(d1), "n", where, diags, lineno)
+            mm = _dim(int(d2), "m", where, diags, lineno)
             prob.mappings[name] = MapDef(
                 name, n, mm, parse_predicate(body, n + mm, where, diags))
         else:
-            n = int(d1)
+            n = _dim(int(d1), "n", where, diags, lineno)
             prob.functions[name] = FuncDef(
                 name, n, [(None, parse_expr(body, n, where, diags))])
     return prob
@@ -1100,8 +1105,17 @@ def _finite_number(x):
 
 def _require_int(spec, field, where, diags):
     v = spec.get(field)
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+    if not isinstance(v, int) or isinstance(v, bool):
         diags.append(Diagnostic("E_DIM", "'%s' must be a positive integer"
                                 % field, where))
+        raise ParseError(diags)
+    return _dim(v, field, "%s.%s" % (where, field), diags)
+
+
+def _dim(v, field, where, diags, line=None):
+    """v, when it is a dimension from 1 to MAX_DIM."""
+    if not 1 <= v <= MAX_DIM:
+        diags.append(Diagnostic("E_DIM", "'%s' must be from 1 to %d"
+                                % (field, MAX_DIM), where, line=line))
         raise ParseError(diags)
     return v

@@ -18,7 +18,7 @@ from .limits import (ApproachSpec, divergent, limit_points,
                      limiting_normal_cone, normal_cone_at_infinity,
                      normal_cone_at_infinity_total, outer_limit, tail_levels)
 from .sets import (ClosedSet, SetError, Shell, epigraph_set, full_space,
-                   graph_of_function, graph_set, nearest_points)
+                   graph_of_function, graph_set, nearest_points, row_norms)
 from .verdict import Verdict
 
 
@@ -196,8 +196,9 @@ def coderivative_at_infinity(F, ybar, cfg, method="frechet", label=""):
 _MIRROR = {"==": "==", "<=": ">=", "<": ">", ">=": "<=", ">": "<"}
 
 
-def _fiber_structure(piece, pinned, free_idx):
-    """How the piece's comparisons meet a pinned/free split (cached).
+def _fiber_structure(piece, key):
+    """How the piece's comparisons meet the pinned/free split key, a
+    (frozenset of pinned, tuple of free) coordinate pair (cached).
 
     Returns (fixed, free_cis, bounds): the comparisons over the pinned
     block alone, the other comparison indices, and, when the piece's
@@ -206,10 +207,10 @@ def _fiber_structure(piece, pinned, free_idx):
     pinned block alone (else None).  Strict operators count as closed, as
     in dsl._eval_conj.
     """
-    key = (frozenset(pinned), tuple(int(k) for k in free_idx))
     hit = piece.fiber_cache.get(key)
     if hit is not None:
         return hit
+    pinned = key[0]
     col = {k: j for j, k in enumerate(key[1])}
     fixed, free_cis, bounds = [], [], []
     for ci, c in enumerate(piece.comparisons):
@@ -229,124 +230,142 @@ def _fiber_structure(piece, pinned, free_idx):
     return hit
 
 
-def _fiber_box(bounds, n_free, full0):
-    """(lo, hi) per free coordinate of a box fiber at the pinned full0."""
-    lo = np.full(n_free, -np.inf)
-    hi = np.full(n_free, np.inf)
-    for k, op, e in bounds:
-        b = dsl.eval_expr(e, full0)
-        if op in ("==", "<=", "<"):
-            hi[k] = np.minimum(hi[k], b)
-        if op in ("==", ">=", ">"):
-            lo[k] = np.maximum(lo[k], b)
-    return lo, hi
+def _accepted(piece, V, free_idx, Z, T):
+    """(ok, |z - t|) per row: ok where the finite z, put into the free
+    coordinates of the full rows V (overwritten), passes Piece.accepts."""
+    V[:, free_idx] = Z
+    ok = piece.accepts(V)[1] & np.isfinite(Z).all(axis=1)
+    return ok, row_norms(Z - T)
 
 
-def _pinned_min(S, pinned_idx, pinned_vals, free_idx, target, starts, cfg):
-    """min |z - target| over z with the pinned/free coordinate split in S.
+def _pinned_min(S, pinned_idx, pinned_vals, free_idx, targets, starts):
+    """min |z - t| per row over the points of S that take the row of
+    pinned_vals on pinned_idx, with z their free coordinates free_idx and
+    t the row of targets.
 
-    A piece whose fiber is a box (_fiber_structure) offers the clip of
-    target into the box.  Other pieces, and clips that fail the residual
-    check, go to SLSQP from the points `starts()` returns; the callable
-    runs at most once, when the first piece needs it.
+    A piece whose fiber is a box (_fiber_structure) offers the clip of each
+    row's target into the row's box, all rows at once.  Other pieces, and
+    rows whose clip fails Piece.accepts, go to nearest_points one row at a
+    time, from the points starts(i) returns for row i; it runs at most
+    once per row, when the first piece needs it.
 
-    Returns (best_dist, best_point_free or None, residual).
+    Returns the (N,) distances, +inf where the row's fiber is empty.
     """
-    best = (INF, None, INF)
-    pinned = set(int(i) for i in pinned_idx)
-    full0 = np.empty(S.dim)
-    full0[pinned_idx] = pinned_vals
-    full0[free_idx] = target
-    start_pts = None
-
-    def accepted(piece, z):
-        """(distance, z, residual) when z passes the residual check."""
-        if not np.isfinite(z).all():
-            return None
-        v = full0.copy()
-        v[free_idx] = z
-        resid, ok = piece.accepts(v)
-        if not ok:
-            return None
-        return float(np.linalg.norm(z - target)), z, resid
-
-    for piece in S.pieces:
-        fixed, free_cis, bounds = _fiber_structure(piece, pinned, free_idx)
-        # constant infeasibility in the pinned block rules the piece out
-        ruled_out = False
-        for ci in fixed:
-            g = float(piece.gval(ci, full0[None, :])[0])
-            viol = abs(g) if piece.comparisons[ci].is_eq else max(g, 0.0)
-            if viol > 1e-9 * float(piece.rhs_scale(ci, full0[None, :])[0]):
-                ruled_out = True
-                break
-        if ruled_out:
-            continue
-        if bounds is not None:
-            lo, hi = _fiber_box(bounds, len(free_idx), full0)
-            with np.errstate(invalid="ignore"):
-                tol = 1e-9 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
-                if np.any(lo - hi > tol):
+    T = np.asarray(targets, dtype=float)
+    N, nf = T.shape
+    full = np.empty((N, S.dim))
+    full[:, pinned_idx] = pinned_vals
+    full[:, free_idx] = T
+    key = (frozenset(int(i) for i in pinned_idx),
+           tuple(int(k) for k in free_idx))
+    every = np.arange(N)
+    best = np.full(N, INF)
+    start_pts = [None] * N
+    with np.errstate(all="ignore"):
+        for piece in S.pieces:
+            fixed, free_cis, bounds = _fiber_structure(piece, key)
+            # constant infeasibility in the pinned block rules a row out
+            rows = every
+            for ci in fixed:
+                V = full[rows]
+                g = piece._gval(ci, V)
+                viol = np.abs(g) if piece.comparisons[ci].is_eq \
+                    else np.maximum(g, 0.0)
+                rows = rows[viol <= 1e-9 * piece._rhs_scale(ci, V)]
+            if bounds is not None and len(rows):
+                V = full[rows]
+                lo = np.full((len(rows), nf), -np.inf)
+                hi = np.full((len(rows), nf), np.inf)
+                for k, op, e in bounds:
+                    b = _ev(e, V)
+                    if op in ("==", "<=", "<"):
+                        hi[:, k] = np.minimum(hi[:, k], b)
+                    if op in ("==", ">=", ">"):
+                        lo[:, k] = np.maximum(lo[:, k], b)
+                # only a column bounded by two comparisons can be empty
+                if len({k for k, _, _ in bounds}) < len(bounds):
+                    tol = 1e-9 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+                    box = ~(lo - hi > tol).any(axis=1)
+                    rows, V, lo, hi = rows[box], V[box], lo[box], hi[box]
+                Tr = T[rows]
+                ok, d = _accepted(piece, V, free_idx,
+                                  np.minimum(np.maximum(Tr, lo), hi), Tr)
+                best[rows] = np.fmin(best[rows], np.where(ok, d, INF))
+                rows = rows[~ok]
+            for i in rows:
+                if start_pts[i] is None:
+                    start_pts[i] = starts(i)
+                Z = list(nearest_points(piece, full[i], free_idx, free_cis,
+                                        start_pts[i]))
+                if not Z:
                     continue
-            cand = accepted(piece, np.minimum(np.maximum(target, lo), hi))
-            if cand is not None:
-                if cand[0] < best[0]:
-                    best = cand
-                continue
-        if start_pts is None:
-            start_pts = starts()
-        for z in nearest_points(piece, full0, free_idx, free_cis,
-                                start_pts):
-            cand = accepted(piece, z)
-            if cand is not None and cand[0] < best[0]:
-                best = cand
+                ok, d = _accepted(piece, np.repeat(full[i:i + 1], len(Z), 0),
+                                  free_idx, np.array(Z), T[i])
+                for di in d[ok]:
+                    if di < best[i]:
+                        best[i] = di
     return best
+
+
+def _rows(a, width):
+    return np.asarray(a, dtype=float).reshape(-1, width)
+
+
+def distances_to_image(F, X, Y, cfg):
+    """d_F(x, y) = dist(y, F(x)) per row pair of X (N, n) and Y (N, m);
+    +inf where F(x) is empty."""
+    X, Y = _rows(X, F.n), _rows(Y, F.m)
+    G = F.graph
+    if G.discrete is not None:
+        K = np.round(X[:, 0])
+        V = G._atom_values(K)
+        out = ~np.isfinite(V) | \
+            (np.abs(X[:, 0] - K) > 1e-9 * (1.0 + np.abs(K)))
+        if G.discrete["domain"] == "naturals":
+            out |= K < 0
+        with np.errstate(invalid="ignore"):
+            return np.where(out, INF, np.abs(Y[:, 0] - V))
+
+    def starts(i):
+        # y plus the nearest sampled fiber point, for pieces that need SLSQP
+        x, y = X[i], Y[i]
+        for r in (0.5, 2.0, 8.0, 32.0):
+            Yc = F.values_near(x, y, r, 64, cfg, label="dimg|%.3g" % r)
+            if len(Yc):
+                return [y, Yc[int(np.argmin(np.linalg.norm(Yc - y, axis=1)))]]
+        return [y]
+
+    return _pinned_min(G, np.arange(F.n), X, np.arange(F.n, F.n + F.m), Y,
+                       starts)
+
+
+def dists_to_preimage(F, Z, X0, cfg):
+    """dist(x0, F^{-1}(z)) = inf{|x - x0| : z in F(x)} per row pair of
+    Z (N, m) and X0 (N, n); +inf where the preimage is empty."""
+    Z, X0 = _rows(Z, F.m), _rows(X0, F.n)
+    G = F.graph
+    if G.discrete is None:
+        return _pinned_min(G, np.arange(F.n, F.n + F.m), Z, np.arange(F.n),
+                           X0, lambda i: [X0[i], X0[i] + 1.0, X0[i] - 1.0])
+    # F(k) = {g(k)}: the preimage of z is the set of atoms with value z
+    out = np.full(len(Z), INF)
+    for i, (z, x0) in enumerate(zip(Z[:, 0], X0[:, 0])):
+        ks = G._atom_range(x0 - 1e6, x0 + 1e6)
+        vals = G._atom_values(ks)
+        hit = np.abs(vals - z) <= 1e-9 * (1.0 + np.abs(vals))
+        if hit.any():
+            out[i] = np.min(np.abs(ks[hit] - x0))
+    return out
 
 
 def distance_to_image(F, x, y, cfg):
     """d_F(x, y) = dist(y, F(x)); +inf when F(x) is empty."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if F.graph.discrete is not None:
-        k = float(np.round(x[0]))
-        if abs(x[0] - k) > 1e-9 * (1.0 + abs(k)):
-            return INF
-        if F.graph.discrete["domain"] == "naturals" and k < 0:
-            return INF
-        v = F.graph._atom_values(np.array([k]))[0]
-        return float(abs(y[0] - v)) if np.isfinite(v) else INF
-
-    def starts():
-        # y plus the nearest sampled fiber point, for pieces that need SLSQP
-        for r in (0.5, 2.0, 8.0, 32.0):
-            Y = F.values_near(x, y, r, 64, cfg, label="dimg|%.3g" % r)
-            if len(Y):
-                return [y, Y[int(np.argmin(np.linalg.norm(Y - y, axis=1)))]]
-        return [y]
-
-    pinned = np.arange(F.n)
-    free = np.arange(F.n, F.n + F.m)
-    best, _, _ = _pinned_min(F.graph, pinned, x, free, y, starts, cfg)
-    return best
+    return float(distances_to_image(F, x, y, cfg)[0])
 
 
 def dist_to_preimage(F, z, x0, cfg):
     """dist(x0, F^{-1}(z)) = inf{|x - x0| : z in F(x)}; +inf when empty."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if F.graph.discrete is not None:
-        # F(k) = {g(k)}: preimage of z is the set of atoms with value z
-        ks = F.graph._atom_range(x0[0] - 1e6, x0[0] + 1e6)
-        vals = F.graph._atom_values(ks)
-        hit = np.abs(vals - z[0]) <= 1e-9 * (1.0 + np.abs(vals))
-        if not hit.any():
-            return INF
-        return float(np.min(np.abs(ks[hit] - x0[0])))
-    pinned = np.arange(F.n, F.n + F.m)
-    free = np.arange(F.n)
-    best, _, _ = _pinned_min(F.graph, pinned, z, free, x0,
-                             lambda: [x0, x0 + 1.0, x0 - 1.0], cfg)
-    return best
+    return float(dists_to_preimage(F, z, x0, cfg)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -599,25 +618,19 @@ def verify_chain_rule(F1, F2, ybar, cfg, comp=None, v_grid=None):
     def values(j, P):
         """Intermediate values z with (x, z) in gph F1, (z, y) in gph F2."""
         X, Y = P[:, :n], P[:, n:]
-        zs, xs = [], []
         if e1 is not None:
             Z = _eval_explicit(e1, X, p)
-            for x, z, y in zip(X, Z, Y):
-                if np.isfinite(z).all() and \
-                        distance_to_image(F2, z, y, cfg) <= 2 * mesh:
-                    zs.append(z)
-                    xs.append(x)
-        else:
-            sel = np.linspace(0, len(P) - 1,
-                              min(len(P), 40)).round().astype(int)
-            for x, y in zip(X[sel], Y[sel]):
-                Zc = F1.values_near(x, np.zeros(p), 5.0, 32, cfg,
-                                    label="chainz|%d" % j)
-                for z in Zc:
-                    if distance_to_image(F2, z, y, cfg) <= 2 * mesh:
-                        zs.append(z)
-                        xs.append(x)
-        return np.reshape(zs, (-1, p)), np.reshape(xs, (-1, n))
+            keep = np.isfinite(Z).all(axis=1)
+            keep[keep] = distances_to_image(F2, Z[keep], Y[keep],
+                                            cfg) <= 2 * mesh
+            return Z[keep], X[keep]
+        sel = np.linspace(0, len(P) - 1, min(len(P), 40)).round().astype(int)
+        Zc = [F1.values_near(x, np.zeros(p), 5.0, 32, cfg,
+                             label="chainz|%d" % j) for x in X[sel]]
+        at = np.repeat(sel, [len(Zk) for Zk in Zc])
+        Z = np.reshape(np.concatenate(Zc), (-1, p))
+        keep = distances_to_image(F2, Z, Y[at], cfg) <= 2 * mesh
+        return Z[keep], X[at[keep]]
 
     (znorms,), zbars = _limit_sweep(comp, ybar, cfg, "chain", values,
                                     [slice(None)], mesh)

@@ -109,12 +109,19 @@ class Piece:
 
     def gval(self, ci, P):
         with np.errstate(all="ignore"):
-            g = _ev(self.comparisons[ci].g, P)
-        return np.where(np.isnan(g), np.inf, g)
+            return self._gval(ci, P)
 
     def rhs_scale(self, ci, P):
         with np.errstate(all="ignore"):
-            r = _ev(self.comparisons[ci].rhs, P)
+            return self._rhs_scale(ci, P)
+
+    # gval and rhs_scale for callers that hold np.errstate(all="ignore")
+    def _gval(self, ci, P):
+        g = _ev(self.comparisons[ci].g, P)
+        return np.where(np.isnan(g), np.inf, g)
+
+    def _rhs_scale(self, ci, P):
+        r = _ev(self.comparisons[ci].rhs, P)
         return 1.0 + np.abs(np.where(np.isfinite(r), r, 0.0))
 
     def grad(self, ci, P):
@@ -124,17 +131,25 @@ class Piece:
     def residual(self, P):
         """Max scaled constraint violation per point (0 when satisfied)."""
         out = np.zeros(P.shape[0])
-        for ci, c in enumerate(self.comparisons):
-            g = self.gval(ci, P)
-            v = np.abs(g) if c.is_eq else np.maximum(g, 0.0)
-            out = np.maximum(out, v / self.rhs_scale(ci, P))
+        with np.errstate(all="ignore"):
+            for ci, c in enumerate(self.comparisons):
+                g = self._gval(ci, P)
+                v = np.abs(g) if c.is_eq else np.maximum(g, 0.0)
+                out = np.maximum(out, v / self._rhs_scale(ci, P))
         return out
 
-    def accepts(self, v):
-        """(residual, ok) for one full point v: the projections' feasibility
-        test, residual <= 1e-7 (1 + |v|)."""
-        resid = float(self.residual(v[None, :])[0])
-        return resid, resid <= 1e-7 * (1.0 + np.linalg.norm(v))
+    def accepts(self, V):
+        """(residual, ok) per row of the (N, dim) points V: the
+        projections' feasibility test, residual <= 1e-7 (1 + |v|)."""
+        resid = self.residual(V)
+        return resid, resid <= 1e-7 * (1.0 + row_norms(V))
+
+
+def row_norms(R):
+    """Euclidean norm of each row of the (N, d) array R, bit for bit that
+    of np.linalg.norm(row): one dot product per row, where a sum or an
+    einsum along the rows rounds differently in the last bit."""
+    return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
 
 
 # offset ladder for inequality biasing: mostly exact boundary, plus points
@@ -280,7 +295,7 @@ def nearest_points(piece, q, free_idx, cis, starts):
             if len(seen) >= 3 \
                     and abs(f - seen[-2]) <= _SETTLE_RTOL * f \
                     and abs(seen[-2] - seen[-3]) <= _SETTLE_RTOL * f \
-                    and piece.accepts(embed(zk))[1]:
+                    and piece.accepts(embed(zk)[None, :])[1][0]:
                 raise StopIteration
 
         try:
@@ -676,9 +691,10 @@ class ClosedSet:
                                     pts[:max(n_starts, 1) + 1]):
                 if not np.isfinite(x).all():
                     continue
-                resid, ok = piece.accepts(x)
+                resid, ok = piece.accepts(x[None, :])
+                resid = float(resid[0])
                 best_resid = min(best_resid, resid)
-                if ok:
+                if ok[0]:
                     cand.append((float(np.linalg.norm(x - q)), x, resid))
         if not cand:
             raise ProjectionFailure(

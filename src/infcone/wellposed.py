@@ -21,7 +21,7 @@ from .cones import (INF, Status, dedup_directions, hmap_kernel, phm_norm,
 from .limits import (_match_matrix, _tail_cone, _tail_runs, divergent,
                      limit_points, normal_cone_at_infinity_total)
 from .maps import (_graph_samples, _pinned_min, coderivative_at_infinity,
-                   dist_to_preimage, distance_to_image)
+                   distance_to_image, distances_to_image, dists_to_preimage)
 from .verdict import Verdict, _jsonable
 
 _BUDGET_NOTE = "no counterexample within budget (not a proof)"
@@ -142,6 +142,7 @@ def test_linear_openness(F, ybar, mu, cfg, pts_per_shell=12):
         P = _subsample(_graph_samples(F, ybar, cfg, j,
                                       cfg.samples_per_shell // 4, "opn"),
                        pts_per_shell)
+        probes = []  # (x, r, z) in the order they are judged
         for row in P:
             x, y = row[:F.n], row[F.n:]
             for r in r_grid:
@@ -152,14 +153,16 @@ def test_linear_openness(F, ybar, mu, cfg, pts_per_shell=12):
                             z[k] += sgn * scale * mu * r
                             if np.linalg.norm(z - ybar) > rho0:
                                 continue
-                            d = dist_to_preimage(F, z, x, cfg)
-                            checked += 1
-                            if d > r * (1.0 + 1e-3) + 1e-9:
-                                return Verdict.failed(
-                                    {"x": x.tolist(), "r": r,
-                                     "z": z.tolist(), "preimage_dist":
-                                     None if np.isinf(d) else float(d)},
-                                    mu=mu, shell=j)
+                            probes.append((x, r, z))
+        D = dists_to_preimage(F, [z for _, _, z in probes],
+                              [x for x, _, _ in probes], cfg)
+        for (x, r, z), d in zip(probes, D.tolist()):
+            checked += 1
+            if d > r * (1.0 + 1e-3) + 1e-9:
+                return Verdict.failed(
+                    {"x": x.tolist(), "r": r, "z": z.tolist(),
+                     "preimage_dist": None if np.isinf(d) else d},
+                    mu=mu, shell=j)
     return Verdict.passed(mu=mu, probes=checked, note=_BUDGET_NOTE)
 
 
@@ -191,24 +194,23 @@ def estimate_regularity_modulus(F, ybar, cfg, pts_per_shell=10):
         d /= np.linalg.norm(d, axis=1, keepdims=True)
         r = rng.uniform(cfg.radius(j), cfg.radius(j + 1), pts_per_shell)
         X = d * r[:, None]
+        # every (x, ybar + off) pair, x-major; d_pre where d_img is usable
+        X = np.repeat(X, len(offsets), axis=0)
+        Y = np.tile(ybar + np.array(offsets), (pts_per_shell, 1))
+        d_img = distances_to_image(F, X, Y, cfg)
+        use = (1e-9 < d_img) & (d_img < INF)
+        X, Y, d_img = X[use], Y[use], d_img[use].tolist()
+        d_pre = dists_to_preimage(F, Y, X, cfg).tolist()
         sup_j = None
-        for x in X:
-            for off in offsets:
-                y = ybar + off
-                d_img = distance_to_image(F, x, y, cfg)
-                if not (1e-9 < d_img < INF):
-                    continue
-                d_pre = dist_to_preimage(F, y, x, cfg)
-                used += 1
-                ratio = d_pre / d_img if np.isfinite(d_pre) else INF
-                if sup_j is None or ratio > sup_j:
-                    sup_j, r_sup = ratio, float(np.linalg.norm(x))
-                if ratio > best:
-                    best = ratio
-                    worst = {"x": x.tolist(), "y": y.tolist(),
-                             "d_image": float(d_img),
-                             "d_preimage": None if np.isinf(d_pre)
-                             else float(d_pre)}
+        for x, y, di, dp in zip(X, Y, d_img, d_pre):
+            used += 1
+            ratio = dp / di if np.isfinite(dp) else INF
+            if sup_j is None or ratio > sup_j:
+                sup_j, r_sup = ratio, float(np.linalg.norm(x))
+            if ratio > best:
+                best = ratio
+                worst = {"x": x.tolist(), "y": y.tolist(), "d_image": di,
+                         "d_preimage": None if np.isinf(dp) else dp}
         trend.append(None if sup_j is None else (sup_j, r_sup))
     value = INF if divergent(trend) or best == INF else best
     return ModulusEstimate(value, used, worst,
@@ -238,27 +240,30 @@ def test_inverse_lipschitz(F, ybar, ell, cfg, pts_per_shell=10):
         P = _subsample(_graph_samples(F, ybar, cfg, j,
                                       cfg.samples_per_shell // 4, "ilip"),
                        pts_per_shell)
+        probes = []  # (x, y', y, |y' - y|) in the order they are judged
         for row in P:
             x, yprime = row[:F.n], row[F.n:]
             for y in targets:
                 gap = float(np.linalg.norm(yprime - y))
-                if gap < 1e-12:
-                    continue
-                d = dist_to_preimage(F, y, x, cfg)
-                checked += 1
-                if d > ell * gap * 1.05 + 1e-9:
-                    return Verdict.failed(
-                        {"x": x.tolist(), "y_prime": yprime.tolist(),
-                         "y": y.tolist(),
-                         "preimage_dist": None if np.isinf(d) else float(d),
-                         "bound": ell * gap},
-                        ell=ell, shell=j)
+                if not gap < 1e-12:
+                    probes.append((x, yprime, y, gap))
+        D = dists_to_preimage(F, [pr[2] for pr in probes],
+                              [pr[0] for pr in probes], cfg)
+        for (x, yprime, y, gap), d in zip(probes, D.tolist()):
+            checked += 1
+            if d > ell * gap * 1.05 + 1e-9:
+                return Verdict.failed(
+                    {"x": x.tolist(), "y_prime": yprime.tolist(),
+                     "y": y.tolist(),
+                     "preimage_dist": None if np.isinf(d) else d,
+                     "bound": ell * gap},
+                    ell=ell, shell=j)
     return Verdict.passed(ell=ell, probes=checked, note=_BUDGET_NOTE)
 
 
-def _in_value_window(F, x, ybar, rho, cfg):
-    d = distance_to_image(F, x, ybar, cfg)
-    return d <= rho
+def _in_value_window(F, X, ybar, rho, cfg):
+    """Per row x of X: does F(x) meet the ball B(ybar, rho)?"""
+    return distances_to_image(F, X, np.tile(ybar, (len(X), 1)), cfg) <= rho
 
 
 def test_lipschitz_like(F, ybar, ell, cfg, pts_per_shell=10):
@@ -281,6 +286,7 @@ def test_lipschitz_like(F, ybar, ell, cfg, pts_per_shell=10):
         P = _graph_samples(F, ybar, cfg, j, cfg.samples_per_shell // 4,
                            "alip")
         sub = _subsample(P, pts_per_shell)
+        probes = []  # (x, y, x') in the order they are judged
         for row in sub:
             x, y = row[:F.n], row[F.n:]
             cands = []
@@ -299,26 +305,28 @@ def test_lipschitz_like(F, ybar, ell, cfg, pts_per_shell=10):
                         xp = x.copy()
                         xp[k] += sgn * d
                         cands.append(xp)
-            for xp in cands:
-                if not _in_value_window(F, xp, ybar, rho0 * 0.9, cfg):
-                    continue
-                gap = float(np.linalg.norm(x - xp))
-                d = distance_to_image(F, xp, y, cfg)
-                checked += 1
-                if d > ell * gap * 1.05 + 1e-9:
-                    # cross-check on the d_F Lipschitz inequality
-                    lhs = abs(d - distance_to_image(F, x, y, cfg))
-                    witness = {"x": x.tolist(), "x_prime": xp.tolist(),
-                               "y": y.tolist(),
-                               "dist": None if np.isinf(d) else float(d),
-                               "bound": ell * gap,
-                               "d_f_gap": None if np.isinf(lhs)
-                               else float(lhs)}
-                    if lhs > ell * gap * 1.05 + 1e-9:
-                        return Verdict.failed(witness, ell=ell, shell=j)
-                    return Verdict.inconclusive(
-                        "inclusion and distance checks disagree",
-                        witness=witness, ell=ell)
+            probes.extend((x, y, xp) for xp in cands)
+        XP = np.reshape([xp for _, _, xp in probes], (-1, F.n))
+        inside = _in_value_window(F, XP, ybar, rho0 * 0.9, cfg)
+        probes = [pr for pr, ok in zip(probes, inside) if ok]
+        D = distances_to_image(F, XP[inside],
+                               [y for _, y, _ in probes], cfg)
+        for (x, y, xp), d in zip(probes, D.tolist()):
+            gap = float(np.linalg.norm(x - xp))
+            checked += 1
+            if d > ell * gap * 1.05 + 1e-9:
+                # cross-check on the d_F Lipschitz inequality
+                lhs = abs(d - distance_to_image(F, x, y, cfg))
+                witness = {"x": x.tolist(), "x_prime": xp.tolist(),
+                           "y": y.tolist(),
+                           "dist": None if np.isinf(d) else d,
+                           "bound": ell * gap,
+                           "d_f_gap": None if np.isinf(lhs) else lhs}
+                if lhs > ell * gap * 1.05 + 1e-9:
+                    return Verdict.failed(witness, ell=ell, shell=j)
+                return Verdict.inconclusive(
+                    "inclusion and distance checks disagree",
+                    witness=witness, ell=ell)
     return Verdict.passed(ell=ell, probes=checked, note=_BUDGET_NOTE)
 
 
@@ -326,15 +334,14 @@ def test_lipschitz_like(F, ybar, ell, cfg, pts_per_shell=10):
 # Criterion at infinity
 
 
-def _preimage_membership(F, x, ybar, rho, cfg):
-    """Cheap F^{-1}(V) membership without fiber sampling (probe helper)."""
+def _preimage_membership(F, X, ybar, rho, cfg):
+    """Cheap F^{-1}(V) membership per row of X, without fiber sampling
+    (probe helper)."""
     if F.graph.discrete is not None:
-        return distance_to_image(F, x, ybar, cfg) <= rho
-    pinned = np.arange(F.n)
-    free = np.arange(F.n, F.n + F.m)
-    best, _, _ = _pinned_min(F.graph, pinned, np.atleast_1d(x), free, ybar,
-                             lambda: [ybar, ybar + 0.25, ybar - 0.25], cfg)
-    return best <= rho
+        return _in_value_window(F, X, ybar, rho, cfg)
+    return _pinned_min(F.graph, np.arange(F.n), X, np.arange(F.n, F.n + F.m),
+                       np.tile(ybar, (len(X), 1)),
+                       lambda i: [ybar, ybar + 0.25, ybar - 0.25]) <= rho
 
 
 def _openness_probe(F, ybar, cfg, pts_per_shell=8):
@@ -346,38 +353,26 @@ def _openness_probe(F, ybar, cfg, pts_per_shell=8):
         P = _subsample(_graph_samples(F, ybar, cfg, j,
                                       cfg.samples_per_shell // 4, "open"),
                        pts_per_shell)
+        # every x +- d e_k, in (x, d, k, sign) order
+        probes = []
         for row in P:
-            x = row[:F.n]
-            bad_all = True
             for d in deltas:
-                bad_here = False
                 for k in range(F.n):
                     for sgn in (1.0, -1.0):
-                        xp = x.copy()
+                        xp = row[:F.n].copy()
                         xp[k] += sgn * d
-                        if not _preimage_membership(F, xp, ybar, rho0, cfg):
-                            bad_here = True
-                            break
-                    if bad_here:
-                        break
-                if not bad_here:
-                    bad_all = False
-                    break
-            if bad_all:
+                        probes.append(xp)
+        inside = _preimage_membership(F, np.reshape(probes, (-1, F.n)), ybar,
+                                      rho0, cfg)
+        for row, ins in zip(P, inside.reshape(len(P), len(deltas), 2 * F.n)):
+            x = row[:F.n]
+            # some perturbation leaves the preimage at every scale
+            if not ins.all(axis=1).any():
                 return Verdict.failed({"x": x.tolist(), "deltas": deltas,
                                        "note": "perturbed points leave the "
                                        "preimage at every probe scale"},
                                       shell=j)
     return Verdict.passed(note=_BUDGET_NOTE)
-
-
-def _fd_gradient(fun, w, h):
-    g = np.empty(len(w))
-    for k in range(len(w)):
-        e = np.zeros(len(w))
-        e[k] = h
-        g[k] = (fun(w + e) - fun(w - e)) / (2.0 * h)
-    return g
 
 
 def _distance_subgradient_fields(F, ybar, cfg, pts_per_shell=10):
@@ -390,9 +385,6 @@ def _distance_subgradient_fields(F, ybar, cfg, pts_per_shell=10):
     ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
     dim = F.n + F.m
 
-    def dfun(w):
-        return distance_to_image(F, w[:F.n], w[F.n:], cfg)
-
     values = []
     big = []
     for j in range(cfg.shells):
@@ -403,19 +395,29 @@ def _distance_subgradient_fields(F, ybar, cfg, pts_per_shell=10):
         dirs = []
         tau = 2.0 ** j
         rng = cfg.rng("fgrad", F.name, j)
+        W, H = [], []
         for row in P:
             for eta in (1e-3, 1e-5):
                 u = rng.standard_normal(dim)
                 u /= np.linalg.norm(u)
-                w = row + eta * u
-                g = _fd_gradient(dfun, w, eta / 10.0)
-                if not np.isfinite(g).all():
-                    continue
-                gn = float(np.linalg.norm(g))
-                if gn <= 10.0:
-                    vals.append(g)
-                if gn >= tau:
-                    dirs.append(g / gn)
+                W.append(row + eta * u)
+                H.append(eta / 10.0)
+        # central differences of d_F at every w along each axis, one call
+        W, H = np.reshape(W, (-1, dim)), np.array(H)
+        E = np.eye(dim) * H[:, None, None]
+        Q = np.concatenate([W[:, None, :] + E, W[:, None, :] - E])
+        D = distances_to_image(F, Q[..., :F.n], Q[..., F.n:], cfg)
+        D = D.reshape(2, len(W), dim)
+        with np.errstate(invalid="ignore"):
+            G = (D[0] - D[1]) / (2.0 * H[:, None])
+        for g in G:
+            if not np.isfinite(g).all():
+                continue
+            gn = float(np.linalg.norm(g))
+            if gn <= 10.0:
+                vals.append(g)
+            if gn >= tau:
+                dirs.append(g / gn)
         values.append(vals)
         big.append(np.array(dirs) if dirs else np.zeros((0, dim)))
     return values, big

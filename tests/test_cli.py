@@ -225,6 +225,37 @@ class TestConfigValues:
         assert res["diagnostics"]["samples_per_shell"][0] > 0
 
 
+class TestPointLength:
+    """A point or vector of the wrong length exits 2 with its flag named,
+    before any computation (it used to crash in the DSL evaluator)."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["project", "--set", "Half", "--point", "-3"], "--point"),
+        (["normal-cone", "--set", "Half", "--x", "1"], "--x"),
+        (["normal-cone", "--set", "Half", "--at-infinity", "--ybar", "0 0"],
+         "--ybar"),
+        (["coderivative", "--map", "Id", "--x", "1 2", "--y", "1"], "--x"),
+        (["coderivative", "--map", "Id", "--x", "1", "--y", "1",
+          "--v", "1 1"], "--v"),
+        (["coderivative", "--map", "Id", "--at-infinity", "--ybar", ""],
+         "--ybar"),
+        (["jelonek", "--map", "Id", "--window", "-1"], "--window"),
+        (["subdiff", "--function", "Square", "--x", "1 2"], "--x"),
+        (["subdiff", "--function", "Square", "--at-infinity",
+          "--ybar", "0 0"], "--ybar"),
+        (["wellposed", "--map", "Id", "--ybar", "0 0"], "--ybar"),
+        (["criterion", "--map", "Id", "--ybar", "0 0"], "--ybar"),
+        (["fermat", "--map", "Id", "--cone", "Pos", "--ybar", "0 0"],
+         "--ybar"),
+    ], ids=["project", "normal-cone", "normal-cone-ybar", "coderivative",
+            "coderivative-v", "coderivative-ybar", "jelonek", "subdiff",
+            "subdiff-ybar", "wellposed", "criterion", "fermat"])
+    def test_wrong_length_exit_2(self, problem_file, capsys, argv, flag):
+        code, out, err = run(capsys, *argv, "--problem", problem_file)
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"].startswith(flag + " needs ")
+
+
 class TestBadDocuments:
     """Documents of the wrong shape exit 2 with the offending JSON path."""
 
@@ -238,8 +269,13 @@ class TestBadDocuments:
                          "where": "(" * 2000 + "v1" + ")" * 2000 + " >= 0"}}},
          "sets.A"),
         ({"config": [1]}, "config"),
+        ({"sets": {"A": {"dim": 100000000, "where": "v1 >= 0"}}},
+         "sets.A.dim"),
+        ({"mappings": {"F": {"n": 1, "m": 65, "graph": "v2 == v1"}}},
+         "mappings.F.m"),
     ], ids=["set-not-object", "discrete-without-atom", "where-not-string",
-            "deep-parentheses", "config-not-object"])
+            "deep-parentheses", "config-not-object", "dim-too-large",
+            "m-too-large"])
     def test_exit_2_with_path(self, tmp_path, capsys, doc, path):
         prob = tmp_path / "bad.json"
         prob.write_text(json.dumps(doc))

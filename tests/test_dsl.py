@@ -150,7 +150,8 @@ def _entry(**fields):
         {}, optional={k: _or_wrong(v) for k, v in fields.items()})
 
 
-_DIMS = st.integers(-1, 3)
+# dimensions up to 3, and some past dsl.MAX_DIM
+_DIMS = st.integers(-1, 3) | st.sampled_from([65, 10 ** 8, 10 ** 21])
 _VECTORS = st.lists(st.integers(-2, 2) | st.floats(), max_size=3)
 _DOCS = st.fixed_dictionaries({}, optional={
     "sets": _section(_entry(dim=_DIMS, where=_TEXTS,
@@ -171,7 +172,9 @@ _DOCS = st.fixed_dictionaries({}, optional={
 # documents nested past the JSON decoder's recursion, and the line format
 _RAW = st.integers(1, 3000).map(
     lambda k: '{"config": ' + "[" * k + "]" * k + "}") \
-    | st.text(max_size=40) | st.just("set A(1) := v1 >= 0\nset A(1) := v1")
+    | st.text(max_size=40) | st.sampled_from([
+        "set A(1) := v1 >= 0\nset A(1) := v1", "set A(0) := v1 >= 0",
+        "set A(100000000) := v1 >= 0", "mapping F(1, 65) := v2 == v1"])
 
 
 @settings(max_examples=400, deadline=None)
@@ -184,4 +187,8 @@ def test_parse_problem_is_total(text):
         assert e.diagnostics
         return
     assert isinstance(prob, dsl.ProblemDef)
+    dims = [s.dim for s in prob.sets.values()] \
+        + [f.n for f in prob.functions.values()] \
+        + [d for mp in prob.mappings.values() for d in (mp.n, mp.m)]
+    assert all(1 <= d <= dsl.MAX_DIM for d in dims)
     prob.pretty()

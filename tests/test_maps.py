@@ -11,9 +11,10 @@ from infcone.cones import (INF, RayCone, Status, contains_direction,
 from infcone.dsl import parse_problem
 from infcone.maps import (MultiMap, check_prop314, coderivative_cone_at,
                           dist_to_preimage, distance_to_image,
+                          distances_to_image, dists_to_preimage,
                           function_value, jelonek_set, point_subdifferential)
-from infcone.sets import ClosedSet, SetError
-from infcone.suite import fixture_function, fixture_map
+from infcone.sets import ClosedSet, SetError, row_norms
+from infcone.suite import fixture_function, fixture_map, load_problem
 
 
 def make_map(graph, n=1, m=1, name="F"):
@@ -211,6 +212,55 @@ class TestLineFiber:
         got = dist_to_preimage(fixture_map("ExpTail"), 0.5, 3.0, fast_cfg)
         assert got == pytest.approx(3.0 - np.sqrt(0.5), rel=1e-13)
         assert slsqp_statuses
+
+
+def _one_row_loops(F, X, Y, cfg):
+    """(batched, one-row) results of both distances over the row pairs."""
+    return ([distances_to_image(F, X, Y, cfg).tolist(),
+             dists_to_preimage(F, Y, X, cfg).tolist()],
+            [[distance_to_image(F, x, y, cfg) for x, y in zip(X, Y)],
+             [dist_to_preimage(F, y, x, cfg) for x, y in zip(X, Y)]])
+
+
+class TestBatchedDistances:
+    """The row-batched distances equal a loop of one-row calls bit for
+    bit (==, not a tolerance)."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_row_norms_match_linalg_norm(self, d):
+        rng = np.random.default_rng(d)
+        R = rng.standard_normal((5000, d)) * rng.lognormal(0.0, 4.0, (5000, 1))
+        assert row_norms(R).tolist() == [np.linalg.norm(r) for r in R]
+
+    @pytest.mark.parametrize("name", sorted(load_problem("maps.json")
+                                            .mappings))
+    def test_fixture_maps(self, fast_cfg, name):
+        F = fixture_map(name)
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((8, F.n)) * 10.0 ** rng.uniform(-1, 3, (8, 1))
+        Y = rng.standard_normal((8, F.m)) * [[0.01], [1.0], [30.0], [0.0],
+                                             [0.01], [1.0], [30.0], [0.0]]
+        if F.graph.discrete is not None:
+            X[::2] = np.round(X[::2])  # atoms, and points between them
+        batched, loops = _one_row_loops(F, X, Y, fast_cfg)
+        assert batched == loops
+
+    def test_mixed_batch(self, fast_cfg, slsqp_statuses):
+        # x <= 0 rows clip into the box piece; exp(v1) is no polynomial,
+        # so its rows go to SLSQP, and at x = 800 its bound overflows;
+        # z in (0, 1] and x = 800 have empty fibers
+        F = make_map("(v1 <= 0 && v2 <= 0) || (v1 > 0 && v2 == exp(v1))")
+        X = np.array([[5.0], [-3.0], [1.0], [-1.0], [800.0], [0.5]])
+        Y = np.array([[-0.5], [0.5], [3.0], [2.0], [0.0], [1.0]])
+        batched, loops = _one_row_loops(F, X, Y, fast_cfg)
+        assert batched == loops
+        assert slsqp_statuses
+        img, pre = batched
+        assert img[3] == 2.0 and img[4] == INF
+        assert pre[0] == 5.0 and pre[1] == INF
+        assert pre[2] == pytest.approx(np.log(3.0) - 1.0, rel=1e-6)
+        assert isinstance(distance_to_image(F, X[0], Y[0], fast_cfg), float)
+        assert isinstance(dist_to_preimage(F, Y[0], X[0], fast_cfg), float)
 
 
 class TestJelonek:

@@ -78,6 +78,38 @@ class TestLipschitzLike:
         assert v.ok
 
 
+class TestReplayOrder:
+    """The falsifiers compute a shell's distances in one batch, then judge
+    the probes in their serial order: the first failure is the witness.
+    The frozen reports come from the one-query-at-a-time loops; neither
+    failure is the first probe of its shell."""
+
+    def test_lipschitz_like_first_failure(self, fast_cfg):
+        # the 9th distance query of shell 0 fails
+        v = lipschitz_like_check(fixture_map("RampOrBox"), [0.0, 0.0], 0.01,
+                                 fast_cfg)
+        assert v.to_json() == {
+            "status": "Fail", "reason": None,
+            "witness": {"x": [1.0000000000065512e-05, -15.163412244111951],
+                        "x_prime": [0.006394304929315199,
+                                    -15.163412244111951],
+                        "y": [1.0000000000065512e-05, 0.0],
+                        "dist": 0.006384304929315134,
+                        "bound": 6.384304929315134e-05,
+                        "d_f_gap": 0.006384304929315134},
+            "diagnostics": {"ell": 0.01, "shell": 0}}
+
+    @pytest.mark.parametrize("mu, r", [(5.0, 0.1), (50.0, 0.02)])
+    def test_linear_openness_first_failure(self, fast_cfg, mu, r):
+        # the 37th (mu = 5) and 9th (mu = 50) probes of shell 0 fail
+        v = openness_check(fixture_map("ZeroUnionRay"), [0.0], mu, fast_cfg)
+        assert v.to_json() == {
+            "status": "Fail", "reason": None,
+            "witness": {"x": [13.149501778876939], "r": r, "z": [0.5],
+                        "preimage_dist": 12.649501778876939},
+            "diagnostics": {"mu": mu, "shell": 0}}
+
+
 class TestRegularity:
     def test_zerounionray_diverges_at_seed_1(self, cfg):
         # dist(x, F^-1(y)) / dist(y, F(x)) is about |x| / 0.01; at seed 1
