@@ -9,10 +9,11 @@ import scipy.optimize
 from infcone.cones import (INF, RayCone, Status, contains_direction,
                            slice_hmap)
 from infcone.dsl import parse_problem
-from infcone.maps import (MultiMap, check_prop314, coderivative_cone_at,
-                          dist_to_preimage, distance_to_image,
-                          distances_to_image, dists_to_preimage,
-                          function_value, jelonek_set, point_subdifferential)
+from infcone.maps import (MultiMap, _pinned_min, check_prop314,
+                          coderivative_cone_at, dist_to_preimage,
+                          distance_to_image, distances_to_image,
+                          dists_to_preimage, function_value, jelonek_set,
+                          point_subdifferential)
 from infcone.sets import ClosedSet, SetError, row_norms
 from infcone.suite import fixture_function, fixture_map, load_problem
 
@@ -261,6 +262,23 @@ class TestBatchedDistances:
         assert pre[2] == pytest.approx(np.log(3.0) - 1.0, rel=1e-6)
         assert isinstance(distance_to_image(F, X[0], Y[0], fast_cfg), float)
         assert isinstance(dist_to_preimage(F, Y[0], X[0], fast_cfg), float)
+
+    def test_starts_once_per_row(self):
+        # both pieces send every row to SLSQP; each row's starts are made
+        # once, when its first piece needs them
+        F = make_map("v2 == exp(v1) || v2 == -exp(v1)")
+        made = []
+
+        def starts(i):
+            made.append(i)
+            return [X0[i]]
+
+        Z = np.array([[2.0], [-3.0], [0.5]])
+        X0 = np.array([[0.0], [1.0], [4.0]])
+        got = _pinned_min(F.graph, [1], Z, [0], X0, starts)
+        assert made == [0, 1, 2]
+        assert got == pytest.approx([abs(np.log(2.0)), abs(1.0 - np.log(3.0)),
+                                     abs(4.0 - np.log(0.5))], rel=1e-6)
 
 
 class TestJelonek:
