@@ -359,23 +359,21 @@ def limiting_normal_cone(S, x, cfg):
     pstat = S.piece_status(x[None, :], cfg.eq_tol)[:, 0]
     members = np.flatnonzero(pstat >= 0)
     if len(members) == 1:
-        piece = S.pieces[members[0]]
-        if all(c.smooth for c in piece.comparisons):
-            gens = S._active_generators(piece, x)
-            if gens is not None:
-                if not gens:
-                    return RayCone.zero(S.dim)
-                if len(gens) == 1:
-                    return canonicalize(gens, S.dim, nonempty=True)
-                G = np.array(gens)
-                # grid directions sit up to step/2 off the generator cone
-                tol = max(1e-6, math.sin(step))
-                keep = np.fromiter(
-                    (in_convex_cone(G, d, tol) for d in grid),
-                    dtype=bool, count=len(grid))
-                if not keep.any():
-                    return canonicalize(gens, S.dim, nonempty=True)
-                return canonicalize(grid[keep], S.dim, nonempty=True)
+        A, have, ok = S.pieces[members[0]].active_generators(x[None, :])
+        if ok[0]:
+            G = A[0, have[0]]
+            if len(G) == 0:
+                return RayCone.zero(S.dim)
+            if len(G) == 1:
+                return canonicalize(G, S.dim, nonempty=True)
+            # grid directions sit up to step/2 off the generator cone
+            tol = max(1e-6, math.sin(step))
+            keep = np.fromiter(
+                (in_convex_cone(G, d, tol) for d in grid),
+                dtype=bool, count=len(grid))
+            if not keep.any():
+                return canonicalize(G, S.dim, nonempty=True)
+            return canonicalize(grid[keep], S.dim, nonempty=True)
     # projection fallback
     dirs = []
     for j in (4, 6, 8):

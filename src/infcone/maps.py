@@ -7,6 +7,8 @@ functions at infinity, the distance function d_F(x, y) = dist(y, F(x)),
 and runs the sum-rule and chain-rule inclusion verifiers.
 """
 
+import math
+
 import numpy as np
 
 from . import dsl
@@ -348,14 +350,39 @@ def dists_to_preimage(F, Z, X0, cfg):
         return _pinned_min(G, np.arange(F.n, F.n + F.m), Z, np.arange(F.n),
                            X0, lambda i: [X0[i], X0[i] + 1.0, X0[i] - 1.0])
     # F(k) = {g(k)}: the preimage of z is the set of atoms with value z
-    out = np.full(len(Z), INF)
-    for i, (z, x0) in enumerate(zip(Z[:, 0], X0[:, 0])):
-        ks = G._atom_range(x0 - 1e6, x0 + 1e6)
+    return np.array([_nearest_atom(G, z, x0)
+                     for z, x0 in zip(Z[:, 0], X0[:, 0])])
+
+
+# atoms a discrete preimage search reaches from x0, and the most it adds
+# to its window's radius in one step
+_ATOM_REACH = 1e6
+_ATOM_STEP = 2.0 ** 15
+
+
+def _nearest_atom(G, z, x0):
+    """|k - x0| for the atom k nearest x0 with g(k) = z, among those
+    within _ATOM_REACH of x0; +inf when there is none.
+
+    The window [x0 - R, x0 + R] grows from R = 1 by doubling R, by at
+    most _ATOM_STEP a step, and each step evaluates only the atoms the
+    window gained, in blocks small enough to stay in cache.  The first
+    window that holds a hit holds the nearest one, since every atom
+    outside it lies farther than R.  A miss evaluates each atom within
+    reach once.
+    """
+    R, ks = 1.0, G._atom_range(x0 - 1.0, x0 + 1.0)
+    while True:
         vals = G._atom_values(ks)
         hit = np.abs(vals - z) <= 1e-9 * (1.0 + np.abs(vals))
         if hit.any():
-            out[i] = np.min(np.abs(ks[hit] - x0))
-    return out
+            return float(np.min(np.abs(ks[hit] - x0)))
+        if R >= _ATOM_REACH:
+            return INF
+        lo, hi = math.ceil(x0 - R), math.floor(x0 + R)
+        R = min(R + min(R, _ATOM_STEP), _ATOM_REACH)
+        ks = np.concatenate([G._atom_range(x0 - R, lo - 1),
+                             G._atom_range(hi + 1, x0 + R)])
 
 
 def distance_to_image(F, x, y, cfg):

@@ -144,6 +144,48 @@ class Piece:
         resid = self.residual(V)
         return resid, resid <= 1e-7 * (1.0 + row_norms(V))
 
+    def active_generators(self, Q):
+        """The unit outward gradients of the comparisons active at each
+        row of the (N, dim) points Q, in comparison order, with u and -u
+        for an equality, as (A, have, ok): row r's generators are
+        A[r, have[r]], and ok[r] is False where the analytic picture
+        breaks down.  That is every row of a piece with a nonsmooth
+        comparison (which depends on its symbols, never on the row), and
+        a row where an active comparison's gradient is not finite.
+        """
+        N = len(Q)
+        ok = np.full(N, all(c.smooth for c in self.comparisons))
+        slots = []          # (rows, unit gradients) per generator
+        # a nonsmooth piece, or no rows: nothing to evaluate
+        for ci, c in enumerate(self.comparisons if ok.any() else ()):
+            act = ok.copy() if c.is_eq else ok & (
+                np.abs(self.gval(ci, Q)) <= _ACT_TOL * self.rhs_scale(ci, Q))
+            rows = np.flatnonzero(act)
+            if rows.size == 0:
+                continue
+            try:
+                G = self.grad(ci, Q[rows])
+            except dsl.NonSmooth:
+                ok[rows] = False
+                continue
+            with np.errstate(all="ignore"):
+                nrm = row_norms(G)
+            # an active constraint with a blown-up gradient: the analytic
+            # generator picture is unreliable at that row
+            bad = ~(np.isfinite(nrm) & np.isfinite(G).all(axis=1))
+            ok[rows[bad]] = False
+            use = ~bad & (nrm > 1e-9)
+            U = G[use] / nrm[use, None]
+            slots.append((rows[use], U))
+            if c.is_eq:
+                slots.append((rows[use], -U))
+        A = np.zeros((N, len(slots), self.dim))
+        have = np.zeros((N, len(slots)), dtype=bool)
+        for k, (rows, U) in enumerate(slots):
+            A[rows, k] = U
+            have[rows, k] = True
+        return A, have, ok
+
 
 def row_norms(R):
     """Euclidean norm of each row of the (N, d) array R, bit for bit that
@@ -736,36 +778,7 @@ class ClosedSet:
 
     # -- normal direction fields -----------------------------------------
 
-    def _active_generators(self, piece, p, act_tol=_ACT_TOL):
-        """Unit outward-gradient generators of the active constraints at p.
-
-        Returns None when a nonsmooth comparison blocks the computation.
-        """
-        gens = []
-        row = p[None, :]
-        for ci, c in enumerate(piece.comparisons):
-            if not c.smooth:
-                return None
-            g = float(piece.gval(ci, row)[0])
-            rs = float(piece.rhs_scale(ci, row)[0])
-            if c.is_eq or abs(g) <= act_tol * rs:
-                try:
-                    G = piece.grad(ci, row)[0]
-                except dsl.NonSmooth:
-                    return None
-                nrm = float(np.linalg.norm(G))
-                if not (np.isfinite(nrm) and np.isfinite(G).all()):
-                    # active constraint with a blown-up gradient: the
-                    # analytic generator picture is unreliable here
-                    return None
-                if nrm > 1e-9:
-                    u = G / nrm
-                    gens.append(u)
-                    if c.is_eq:
-                        gens.append(-u)
-        return gens
-
-    def frechet_field(self, P, cfg, max_multi=400):
+    def frechet_field(self, P, cfg):
         """Regular-normal directions at the sample points P (pooled).
 
         Points in a single piece contribute the unit gradients of their
@@ -813,29 +826,51 @@ class ClosedSet:
                     dirs.append(D)
                     if c.is_eq:
                         dirs.append(-D)
-        from .cones import in_convex_cone
-        multi = np.flatnonzero(mcount >= 2)[:max_multi]
-        for r in multi:
-            cones = []
-            usable = True
-            for pi in np.flatnonzero(member[:, r]):
-                gens = self._active_generators(self.pieces[pi], P[r])
-                if gens is None:
-                    usable = False
-                    break
-                if not gens:
-                    usable = False  # one piece's cone is {0}; meet is {0}
-                    break
-                cones.append(np.array(gens))
-            if not usable or not cones:
-                continue
-            candidates = np.vstack(cones)
-            kept = [c for c in candidates
-                    if all(in_convex_cone(g, c, 1e-6) for g in cones)]
-            if kept:
-                dirs.append(np.array(kept))
+        multi = np.flatnonzero(mcount >= 2)
+        if multi.size:
+            dirs.append(self._meet_dirs(P[multi], member[:, multi]))
         all_dirs = np.vstack(dirs) if dirs else np.zeros((0, self.dim))
         return {"dirs": all_dirs, "n_samples": len(P), "full": False}
+
+    def _meet_dirs(self, P, member):
+        """Regular normals at rows P that lie in several pieces (member is
+        the pieces x rows membership), in row order: each row's candidates
+        (its member cones' generators, in piece order) that lie in every
+        member cone.  A row with a blocked or a zero member cone has none."""
+        from .cones import in_convex_cone
+        n = len(P)
+        usable = np.ones(n, dtype=bool)
+        single = np.ones(n, dtype=bool)     # one generator in every cone
+        cones = []                          # (A, have) per piece, all rows
+        for pi, piece in enumerate(self.pieces):
+            at = member[pi]
+            a, h, ok = piece.active_generators(P[at])
+            A = np.zeros((n,) + a.shape[1:])
+            have = np.zeros((n, h.shape[1]), dtype=bool)
+            A[at], have[at] = a, h
+            usable[at] &= ok & h.any(axis=1)
+            single &= ~at | (have.sum(axis=1) == 1)
+            cones.append((A, have))
+        M = member.T
+        # one generator g per member cone: one-column NNLS in closed form,
+        # t = max(0, c.g) and residual |t g - c| <= 1e-6, for every pair
+        fast = np.flatnonzero(usable & single)
+        C = np.stack([A[fast, have[fast].argmax(axis=1)] if have.shape[1]
+                      else np.zeros((len(fast), self.dim))
+                      for A, have in cones], axis=1)
+        t = np.maximum(C @ C.transpose(0, 2, 1), 0.0)
+        R = t[..., None] * C[:, None, :, :] - C[:, :, None, :]
+        fits = row_norms(R.reshape(-1, self.dim)).reshape(t.shape) <= 1e-6
+        keep = M[fast] & (fits | ~M[fast, None, :]).all(axis=2)
+        rows, out = [fast[np.nonzero(keep)[0]]], [C[keep]]
+        for r in np.flatnonzero(usable & ~single):
+            row = [A[r, have[r]] for (A, have), m in zip(cones, M[r]) if m]
+            cand = np.vstack(row)
+            kept = cand[[all(in_convex_cone(g, c, 1e-6) for g in row)
+                         for c in cand]]
+            rows.append(np.full(len(kept), r))
+            out.append(kept)
+        return np.vstack(out)[np.argsort(np.concatenate(rows), kind="stable")]
 
     def _local_piece_project(self, piece, Q):
         """Cheap sequential-correction projection of Q onto one piece.

@@ -130,6 +130,40 @@ class TestDistances:
         assert distance_to_image(F, 2.5, 0.0, fast_cfg) == INF
         assert dist_to_preimage(F, 9.0, 0.0, fast_cfg) == pytest.approx(3.0)
 
+    def test_discrete_preimage_windows_match_the_full_scan(self, fast_cfg,
+                                                           monkeypatch):
+        # HarmonicAtoms: g(k) = 1/(k + 1) on the naturals.  From x0 = 100,
+        # atom 97 is a near hit, the atoms around 250,100 are far ones,
+        # z = 2 is no value and z = 1 is atom 0
+        F = fixture_map("HarmonicAtoms")
+        G = F.graph
+        Z = np.array([[1.0 / 98.0], [1.0 / 250101.0], [2.0], [1.0]])
+        X0 = np.full((4, 1), 100.0)
+
+        def full_scan(z, x0):
+            ks = G._atom_range(x0 - 1e6, x0 + 1e6)
+            vals = G._atom_values(ks)
+            hit = np.abs(vals - z) <= 1e-9 * (1.0 + np.abs(vals))
+            return np.min(np.abs(ks[hit] - x0)) if hit.any() else INF
+
+        want = [full_scan(z, x0) for z, x0 in zip(Z[:, 0], X0[:, 0])]
+        assert want[0] == 3.0 and 1e5 < want[1] < 1e6
+        assert want[2:] == [INF, 100.0]
+        assert dists_to_preimage(F, Z, X0, fast_cfg).tolist() == want
+
+        evaluated = []
+        atom_values = G._atom_values
+        monkeypatch.setattr(G, "_atom_values",
+                            lambda k: evaluated.append(len(k))
+                            or atom_values(k))
+        assert dist_to_preimage(F, Z[0, 0], 100.0, fast_cfg) == 3.0
+        assert sum(evaluated) <= 9        # the window [96, 104]
+        evaluated.clear()
+        # a miss evaluates each atom of [0, 1e6 + 100] once, as the full
+        # scan does
+        assert dist_to_preimage(F, 2.0, 100.0, fast_cfg) == INF
+        assert sum(evaluated) == 10 ** 6 + 101
+
 
 class TestFiberBox:
     """Pieces whose fiber is a box are projected by a clip."""

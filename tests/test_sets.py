@@ -5,11 +5,12 @@ import pytest
 
 from infcone import dsl
 from infcone.config import RunConfig
-from infcone.sets import (_NEWTON_ACCEPT, _NEWTON_ITERS, ClosedSet,
-                          SetError, Shell, epigraph_set, full_space,
-                          graph_of_function, indicator_graph,
+from infcone.cones import in_convex_cone
+from infcone.sets import (_ACT_TOL, _NEWTON_ACCEPT, _NEWTON_ITERS,
+                          ClosedSet, SetError, Shell, epigraph_set,
+                          full_space, graph_of_function, indicator_graph,
                           intersection_set, points_to_csv, product_set)
-from infcone.suite import fixture_set
+from infcone.suite import fixture_function, fixture_set
 
 
 def make_set(text, dim, name="S"):
@@ -210,6 +211,124 @@ def test_newton_matches_full_row_reference(text, dim, on_target, seed):
     assert P1.tobytes() == P2.tobytes()
     assert np.array_equal(l1, l2)
     assert r1 == r2
+
+
+def _generators_reference(piece, p):
+    """One row's active generators, a comparison at a time: the unit
+    gradients of the active comparisons, u and -u for an equality; None
+    for a nonsmooth comparison or a blown-up active gradient."""
+    gens = []
+    row = p[None, :]
+    for ci, c in enumerate(piece.comparisons):
+        if not c.smooth:
+            return None
+        g = float(piece.gval(ci, row)[0])
+        rs = float(piece.rhs_scale(ci, row)[0])
+        if c.is_eq or abs(g) <= _ACT_TOL * rs:
+            try:
+                G = piece.grad(ci, row)[0]
+            except dsl.NonSmooth:
+                return None
+            with np.errstate(over="ignore"):
+                nrm = float(np.linalg.norm(G))
+            if not (np.isfinite(nrm) and np.isfinite(G).all()):
+                return None
+            if nrm > 1e-9:
+                u = G / nrm
+                gens.append(u)
+                if c.is_eq:
+                    gens.append(-u)
+    return gens
+
+
+def _flatcbrt_rows():
+    # around v1 = 0, where the gradient of cbrt(v1) blows up
+    gen = np.random.default_rng(3)
+    v1 = np.array([0.0, 1e-300, 1e-30, 1e-12, 1e-9, 1e-7, 1e-6, 2e-6,
+                   1e-3, 1.0])
+    v1 = np.concatenate([v1, -v1])
+    Q = np.column_stack([v1, gen.standard_normal(len(v1)),
+                         np.zeros(len(v1))])
+    on_cbrt = Q.copy()
+    on_cbrt[:, 2] = -np.cbrt(np.maximum(v1, 0.0))
+    return np.vstack([Q, on_cbrt])
+
+
+def _exp_rows():
+    gen = np.random.default_rng(4)
+    v1 = np.concatenate([np.linspace(-30.0, 30.0, 41),
+                         gen.uniform(-5.0, 5.0, 20)])
+    with np.errstate(over="ignore"):
+        v2 = np.exp(v1)
+    off = np.array([0.0, 1e-12, 1e-7, 1e-3, 1.0])[np.arange(len(v1)) % 5]
+    return np.column_stack([v1, v2 * (1.0 + off) + off])
+
+
+@pytest.mark.parametrize("S, Q, outcomes", [
+    (graph_of_function(fixture_function("FlatCbrt")), _flatcbrt_rows(),
+     {None, 2, 3}),
+    (make_set("v2 >= exp(v1) || v2 >= exp(v1)", 2), _exp_rows(), {0, 1}),
+    (make_set("v1^2 + v2^2 == 1 && v3 <= v1", 3),
+     np.array([[0.6, 0.8, 0.6], [0.6, 0.8, 0.0], [1.0, 0.0, 1.0 - 1e-9],
+               [0.0, 1.0, -5.0], [0.0, 0.0, 0.0], [0.0, 0.0, -5.0],
+               [3.0, 4.0, 3.0]]),
+     {0, 1, 2, 3}),
+    (make_set("abs(v1) <= v2 && v2 <= 3", 2),
+     np.array([[1.0, 1.0], [0.0, 3.0], [-2.0, 3.0], [0.5, 1.0]]), {None}),
+], ids=["flatcbrt", "duplicated-exp", "equality", "abs"])
+def test_active_generators_match_the_one_row_loop(S, Q, outcomes):
+    seen = set()
+    for piece in S.pieces:
+        A, have, ok = piece.active_generators(Q)
+        for r, p in enumerate(Q):
+            want = _generators_reference(piece, p)
+            seen.add(None if want is None else len(want))
+            if want is None:
+                assert not ok[r], (r, p)
+                continue
+            assert ok[r], (r, p)
+            got = A[r, have[r]]
+            assert got.shape == (len(want), S.dim)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+    # the rows reach the outcomes they were chosen for
+    assert seen == outcomes
+
+
+def test_union_meet_matches_the_row_loop(fast_cfg):
+    # rows in two to four pieces of a union, where every member cone has
+    # one generator (closed form) or some have two (NNLS), interleaved
+    S = make_set("(v1 <= 0 && v2 <= 0) || (v1 >= 0 && v2 <= 0) "
+                 "|| v2 <= v1^3 || v2 <= v1^3", 2)
+    gen = np.random.default_rng(5)
+    v1 = gen.choice([-1.0, -1e-9, 0.0, 1e-9, 0.5, 1.0, 2.0], 400)
+    P = np.column_stack([v1, np.where(gen.random(400) < 0.5, v1 ** 3, 0.0)])
+    member = S.piece_status(P, fast_cfg.eq_tol) >= dsl.BOUNDARY
+    multi = member.sum(axis=0) >= 2
+    want = []
+    for p, m in zip(P[multi], member[:, multi].T):
+        cones = [_generators_reference(S.pieces[pi], p)
+                 for pi in np.flatnonzero(m)]
+        if all(g is not None and len(g) > 0 for g in cones):
+            cand = np.vstack(cones)
+            want += [c for c in cand
+                     if all(in_convex_cone(g, c, 1e-6) for g in cones)]
+    got = S._meet_dirs(P[multi], member[:, multi])
+    assert multi.sum() > 300 and len(want) > 800
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_union_field_reads_every_multi_piece_row(fast_cfg):
+    # both pieces hold every row, so each row is a multi-piece row and
+    # its meet is its one unit normal, once from each piece
+    S = make_set("v2 >= exp(v1) || v2 >= exp(v1)", 2)
+    v1 = np.linspace(-5.0, 3.0, 1200)
+    P = np.column_stack([v1, np.exp(v1)])
+    dirs = S.frechet_field(P, fast_cfg)["dirs"]
+    u = np.column_stack([np.exp(v1), -np.ones_like(v1)])
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    assert dirs.shape == (2 * len(P), 2)
+    assert np.allclose(dirs, np.repeat(u, 2, axis=0), rtol=0.0, atol=1e-12)
 
 
 class TestProjection:
