@@ -6,17 +6,21 @@
 
 Each seed runs `run_paper_suite` once at threads=1.  The matrix maps each
 case to its status per seed, and a Fail also lists the checks that failed.
-"flips" lists the cases whose status differs across the seeds.  With
---label the matrix is stored under that key of --out, next to the labels
-the file already holds, so two source trees can be compared in one file;
-its "differs_from" maps each of those other labels to the cases whose
-status differs from it at a seed that both ran.
-A case that flips, or differs between labels, is a defect to report, not
-a seed to avoid.  Wall times per case go to the "seconds" field; they are
-not part of the matrix.
+"flips" lists the cases whose status differs across the seeds.
+"digests" holds, per case and seed, the sha256 of the case's JSON as
+`infcone verify --out` writes it.  With --label the matrix is stored
+under that key of --out, next to the labels the file already holds, so
+two source trees can be compared in one file; its "differs_from" maps
+each of those other labels to the cases whose status differs from it at
+a seed that both ran, and "digest_differs_from" to the cases whose
+digest does.
+A case that flips, or whose status differs between labels, is a defect
+to report, not a seed to avoid.  Wall times per case go to the "seconds"
+field; they are not part of the matrix.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -33,9 +37,10 @@ def parse_seeds(text):
 
 
 def sweep(seeds):
+    from infcone.cli import _dumps
     from infcone.config import RunConfig
     from infcone.suite import run_paper_suite
-    status, failed, seconds = {}, {}, {}
+    status, digests, failed, seconds = {}, {}, {}, {}
     for seed in seeds:
         t0 = time.perf_counter()
 
@@ -46,6 +51,8 @@ def sweep(seeds):
                                   progress=progress)
         for case in summary["cases"]:
             status.setdefault(case["name"], {})[str(seed)] = case["status"]
+            digests.setdefault(case["name"], {})[str(seed)] = \
+                hashlib.sha256(_dumps(case).encode()).hexdigest()
             bad = [c["name"] for c in case.get("checks", []) if not c["ok"]]
             if bad:
                 failed.setdefault(case["name"], {})[str(seed)] = bad
@@ -55,20 +62,22 @@ def sweep(seeds):
     flips = sorted(n for n, row in status.items()
                    if len(set(row.values())) > 1)
     return {"seeds": seeds, "threads": 1, "status": status,
-            "failed_checks": failed, "flips": flips, "seconds": seconds}
+            "digests": digests, "failed_checks": failed, "flips": flips,
+            "seconds": seconds}
 
 
-def differs_from(result, doc, label):
-    """{other label: cases whose status differs from it at a shared seed}."""
+def differs_from(result, doc, label, field="status"):
+    """{other label: cases whose `field` ("status" or "digests") differs
+    from it at a shared seed}."""
     out = {}
     for other, prev in sorted(doc.items()):
         if other == label:
             continue
-        theirs = prev.get("status", {})
+        theirs = prev.get(field, {})
         out[other] = sorted(
-            name for name, row in result["status"].items()
-            if any(theirs.get(name, {}).get(seed, st) != st
-                   for seed, st in row.items()))
+            name for name, row in result[field].items()
+            if any(theirs.get(name, {}).get(seed, v) != v
+                   for seed, v in row.items()))
     return out
 
 
@@ -90,6 +99,8 @@ def main(argv=None):
             with open(args.out) as fh:
                 doc = json.load(fh)
         result["differs_from"] = differs_from(result, doc, args.label)
+        result["digest_differs_from"] = differs_from(result, doc, args.label,
+                                                     "digests")
         doc[args.label] = result
         result = doc
     text = json.dumps(result, indent=1, sort_keys=True) + "\n"

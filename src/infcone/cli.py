@@ -126,6 +126,8 @@ def _cmd_validate(args, prob, cfg):
 
 
 def _cmd_sample_set(args, prob, cfg):
+    if args.count < 1:
+        raise SetError("--count must be at least 1")
     S = _get_set(prob, args.set)
     sh = Shell(range(S.dim), args.r_lo, args.r_hi)
     P = S.sample_shell(sh, args.count, cfg, label="cli")

@@ -9,7 +9,9 @@ provides the two sampling primitives everything else is built on:
   shell and the remaining block in a small ball, with equality constraints
   repaired by per-point 1-D Newton steps and inequality boundaries biased
   (plus a geometric offset ladder, so gradient blow-up near a boundary is
-  visible to the normal fields);
+  visible to the normal fields).  A Newton step that takes its coordinate
+  out of the shell ends that point's repair as a failure: a root out
+  there fails the shell filter, and few points come back;
 * frechet_field / projection_dir_field -- per-sample normal directions via
   active constraint gradients, or via projection of nearby outside probes.
 
@@ -56,12 +58,16 @@ class Shell:
         self.x_idx = tuple(int(i) for i in x_idx)
         if not self.x_idx:
             raise SetError("shell needs at least one escaping coordinate")
-        if not 0.0 < r_lo < r_hi:
-            raise SetError("shell radii must satisfy 0 < r_lo < r_hi")
+        if not 0.0 < r_lo < r_hi < np.inf:
+            raise SetError("shell radii must satisfy 0 < r_lo < r_hi < inf")
+        if not 0.0 <= rho < np.inf:
+            raise SetError("shell rho must be finite and >= 0")
         self.r_lo = float(r_lo)
         self.r_hi = float(r_hi)
         self.center = None if center is None \
             else np.asarray(center, dtype=float)
+        if self.center is not None and not np.isfinite(self.center).all():
+            raise SetError("shell center must be finite")
         self.rho = float(rho)
 
     def rest_idx(self, dim):
@@ -481,7 +487,7 @@ class ClosedSet:
 
     # -- shell sampling ---------------------------------------------------
 
-    def _newton_to(self, piece, ci, P, rows, locked, rng, target):
+    def _newton_to(self, piece, ci, P, rows, locked, rng, target, box):
         """Drive g_ci(P) to `target` on masked rows by per-point 1-D Newton.
 
         Each point varies one randomly chosen coordinate (not previously
@@ -489,9 +495,16 @@ class ClosedSet:
         later equalities vary a different one.  Returns a success mask
         (aligned with P); untouched rows report False.
 
+        box = (mid, lo, hi), one entry per column, is the region the
+        caller's final filter accepts.  A row whose moved coordinate v_c
+        breaks lo[c] <= |v_c - mid[c]| <= hi[c] after a step stops there
+        and fails: a root it reached out there would keep that coordinate
+        (the column is locked) and fail the filter.
+
         Only the rows still moving are evaluated: per row, the arithmetic
         and the random draw of a full-batch evaluation.
         """
+        mid, lo, hi = box
         B = P.shape[0]
         succ = np.zeros(B, dtype=bool)
         if not rows.any():
@@ -536,13 +549,19 @@ class ClosedSet:
                 act, step, colc = act[fin], step[fin], colc[fin]
             x = P[act, colc]
             cap = 4.0 * (np.abs(x) + np.abs(target[act]) + 10.0)
-            P[act, colc] = x - np.clip(step, -cap, cap)
+            x = x - np.clip(step, -cap, cap)
+            P[act, colc] = x
+            off = np.abs(x - mid[colc])
+            inside = (off >= lo[colc]) & (off <= hi[colc])
+            if not inside.all():
+                act, colc = act[inside], colc[inside]
         good = succ[idx] & (col >= 0)
         locked[idx[good], col[good]] = True
         return succ
 
-    def _repair_and_bias(self, piece, P, ok, locked, rng, bias):
-        """Equality repair (always) and inequality boundary biasing.
+    def _repair_and_bias(self, piece, P, ok, locked, rng, box):
+        """Inequality boundary biasing, then equality repair, each Newton
+        step kept in `box` (see _newton_to).
 
         Biasing runs first and locks the column it moved, so the equality
         repair afterwards has to solve for a different coordinate and the
@@ -550,26 +569,24 @@ class ClosedSet:
         biased inequality sharing variables; such rows fail the final
         membership filter and only cost yield.
         """
-        if bias:
-            biasable = [ci for ci in piece.ineq_idx
-                        if piece.comparisons[ci].smooth]
-            if biasable:
-                B = P.shape[0]
-                mask = ok & (rng.random(B) < 0.5)
-                choice = rng.integers(0, len(biasable), B)
-                delta = _LADDER[rng.integers(0, len(_LADDER), B)]
-                for t, ci in enumerate(biasable):
-                    rows = mask & (choice == t)
-                    if rows.any():
-                        succ = self._newton_to(piece, ci, P, rows, locked,
-                                               rng, -delta)
-                        ok &= succ | ~rows
+        biasable = [ci for ci in piece.ineq_idx
+                    if piece.comparisons[ci].smooth]
+        if biasable:
+            B = P.shape[0]
+            mask = ok & (rng.random(B) < 0.5)
+            choice = rng.integers(0, len(biasable), B)
+            delta = _LADDER[rng.integers(0, len(_LADDER), B)]
+            for t, ci in enumerate(biasable):
+                rows = mask & (choice == t)
+                if rows.any():
+                    succ = self._newton_to(piece, ci, P, rows, locked, rng,
+                                           -delta, box)
+                    ok &= succ | ~rows
         for ci in piece.eq_idx:
             if not piece.comparisons[ci].smooth:
                 ok[:] = False
                 return
-            succ = self._newton_to(piece, ci, P, ok, locked, rng, 0.0)
-            ok &= succ
+            ok &= self._newton_to(piece, ci, P, ok, locked, rng, 0.0, box)
 
     def sample_shell(self, shell, count, cfg, label=""):
         """Up to `count` members in the shell; deterministic given labels."""
@@ -582,6 +599,14 @@ class ClosedSet:
             raise SetError("shell leaves coordinates free but has no center")
         rng = cfg.rng("shell", self.name, label, len(x_idx),
                       "%.6e" % shell.r_lo)
+        # the final filter's bounds, column by column, for the Newton steps
+        mid, lo, hi = np.zeros(dim), np.zeros(dim), np.zeros(dim)
+        hi[x_idx] = shell.r_hi * (1.0 + 1e-9)
+        if len(x_idx) == 1:
+            lo[x_idx] = shell.r_lo * (1.0 - 1e-9)
+        if rest_idx.size:
+            mid[rest_idx] = shell.center
+            hi[rest_idx] = shell.rho * (1.0 + 1e-9)
         per_piece = [[] for _ in self.pieces]
         got = 0
         dry = 0
@@ -607,7 +632,8 @@ class ClosedSet:
                 ok = np.ones(B, dtype=bool)
                 locked = np.zeros((B, dim), dtype=bool)
                 try:
-                    self._repair_and_bias(piece, P, ok, locked, rng, True)
+                    self._repair_and_bias(piece, P, ok, locked, rng,
+                                          (mid, lo, hi))
                 except dsl.NonSmooth:
                     ok[:] = False
                 if not ok.any():
@@ -675,6 +701,11 @@ class ClosedSet:
         got = 0
         dry = 0
         ycols = np.arange(n, n + m)
+        # y within the filter's radius of center; x is locked
+        mid, lo, hi = np.zeros(self.dim), np.zeros(self.dim), \
+            np.full(self.dim, np.inf)
+        mid[ycols] = center
+        hi[ycols] = radius * (1.0 + 1e-9)
         for _ in range(cfg.max_rounds // 2):
             if got >= count or dry >= _DRY_ROUNDS:
                 break
@@ -690,7 +721,8 @@ class ClosedSet:
                 locked = np.zeros((B, self.dim), dtype=bool)
                 locked[:, :n] = True
                 try:
-                    self._repair_and_bias(piece, P, ok, locked, rng, True)
+                    self._repair_and_bias(piece, P, ok, locked, rng,
+                                          (mid, lo, hi))
                 except dsl.NonSmooth:
                     ok[:] = False
                 if not ok.any():

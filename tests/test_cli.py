@@ -76,6 +76,19 @@ class TestBasics:
         assert code == 2
         assert "--total" in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--r-lo", "1", "--r-hi", "inf"),
+        ("--r-lo", "nan", "--r-hi", "2"),
+        ("--r-lo", "1", "--r-hi", "2", "--count", "-5"),
+        ("--r-lo", "1", "--r-hi", "2", "--count", "0"),
+    ])
+    def test_bad_shell_or_count_exit_2(self, problem_file, capsys, flags):
+        code, out, err = run(capsys, "sample-set", "--problem", problem_file,
+                             "--set", "Half", *flags)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "SetError"
+
 
 class TestCommands:
     def test_project(self, problem_file, capsys):

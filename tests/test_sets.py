@@ -7,10 +7,10 @@ from infcone import dsl
 from infcone.config import RunConfig
 from infcone.cones import in_convex_cone
 from infcone.sets import (_ACT_TOL, _NEWTON_ACCEPT, _NEWTON_ITERS,
-                          ClosedSet, SetError, Shell, epigraph_set,
+                          ClosedSet, Piece, SetError, Shell, epigraph_set,
                           full_space, graph_of_function, indicator_graph,
                           intersection_set, points_to_csv, product_set)
-from infcone.suite import fixture_function, fixture_set
+from infcone.suite import fixture_function, fixture_map, fixture_set
 
 
 def make_set(text, dim, name="S"):
@@ -89,6 +89,13 @@ class TestSampling:
             Shell((0,), 5.0, 2.0)
         with pytest.raises(SetError):
             Shell((), 1.0, 2.0)
+        for r_lo, r_hi in ((1.0, np.inf), (np.nan, 2.0)):
+            with pytest.raises(SetError):
+                Shell((0,), r_lo, r_hi)
+        for center, rho in (([0.0], -1.0), ([0.0], np.inf), ([0.0], np.nan),
+                            ([np.inf], 1.0), ([np.nan], 1.0)):
+            with pytest.raises(SetError):
+                Shell((0,), 1.0, 2.0, center=center, rho=rho)
 
     def test_empty_shell_stops_after_dry_rounds(self, monkeypatch):
         # ex-expepi.ym1: v2 >= exp(v1) > 0 never meets the y-ball at -1
@@ -111,9 +118,44 @@ class TestSampling:
         assert len(P) == 2000
         assert (S.status(P) >= dsl.BOUNDARY).all()
 
+    def test_newton_stops_rows_that_leave_the_shell(self, monkeypatch):
+        # the last graph shell of criterion-halflineparabola: on v2 == v1^2
+        # with v2 near 0, Newton in v1 heads for |v1| = sqrt(v2), out of
+        # the shell, and Newton in v2 for v1^2, out of the value ball
+        S = fixture_map("HalfLineParabola").graph
+        cfg = RunConfig(seed=0)
+        calls, per_newton = [0], []
+        gval, newton = Piece.gval, ClosedSet._newton_to
 
-def _newton_reference(piece, ci, P, rows, locked, rng, target):
-    """Newton repair evaluating every row of P on every iteration."""
+        def counted_gval(self, *args):
+            calls[0] += 1
+            return gval(self, *args)
+
+        def counted_newton(self, *args):
+            before = calls[0]
+            out = newton(self, *args)
+            per_newton.append(calls[0] - before)
+            return out
+
+        monkeypatch.setattr(Piece, "gval", counted_gval)
+        monkeypatch.setattr(ClosedSet, "_newton_to", counted_newton)
+        j = cfg.shells - 1
+        sh = Shell((0,), cfg.radius(j), cfg.radius(j + 1),
+                   center=np.array([0.0]), rho=cfg.rho(j))
+        P = S.sample_shell(sh, cfg.samples_per_shell, cfg,
+                           label="HalfLineParabola|%d" % j)
+        assert per_newton and max(per_newton) < _NEWTON_ITERS
+        assert len(P) == cfg.samples_per_shell
+        assert (S.status(P, cfg.eq_tol) >= dsl.BOUNDARY).all()
+        r = np.abs(P[:, 0])
+        assert (r >= sh.r_lo).all() and (r <= sh.r_hi).all()
+        assert (np.abs(P[:, 1]) <= sh.rho).all()
+
+
+def _newton_reference(piece, ci, P, rows, locked, rng, target, box):
+    """Newton repair evaluating every row of P on every iteration; a row
+    whose moved coordinate leaves the box stops, as failed."""
+    mid, lo, hi = box
     B = P.shape[0]
     succ = np.zeros(B, dtype=bool)
     if not rows.any():
@@ -153,6 +195,8 @@ def _newton_reference(piece, ci, P, rows, locked, rng, target):
         step = np.clip(step, -cap, cap)
         upd = np.flatnonzero(active)
         P[upd, colc[upd]] -= step[upd]
+        off = np.abs(P[upd, colc[upd]] - mid[colc[upd]])
+        active[upd[(off < lo[colc[upd]]) | (off > hi[colc[upd]])]] = False
     if succ.any():
         good = np.flatnonzero(succ & (col >= 0))
         locked[good, colc[good]] = True
@@ -199,18 +243,31 @@ def test_newton_matches_full_row_reference(text, dim, on_target, seed):
     locked0[gen.random(B) < 0.05] = True  # rows with no free column
     target = 0.0 if seed % 2 else \
         np.where(start, 0.0, -gen.choice([0.0, 1e-3, 1e-8], B))
-    out = []
-    for newton in (S._newton_to, _newton_reference):
-        P, locked = P0.copy(), locked0.copy()
-        rng = np.random.default_rng([seed, 7])
-        succ = newton(S.pieces[0], 0, P, rows.copy(), locked, rng, target)
-        out.append((succ, P, locked, rng.bit_generator.state))
-    (s1, P1, l1, r1), (s2, P2, l2, r2) = out
-    assert (s1 & start).any() and (s1 & ~start).any() and not s1.all()
-    assert np.array_equal(s1, s2)
-    assert P1.tobytes() == P2.tobytes()
-    assert np.array_equal(l1, l2)
-    assert r1 == r2
+    # the open box stops no row; the tight one, |v_c - mid_c| in
+    # [0.05, 40], stops some rows that converge in the open one
+    open_box = (np.zeros(dim), np.zeros(dim), np.full(dim, np.inf))
+    tight_box = (gen.standard_normal(dim), np.full(dim, 0.05),
+                 np.full(dim, 40.0))
+    succ = {}
+    for name, box in (("open", open_box), ("tight", tight_box)):
+        out = []
+        for newton in (S._newton_to, _newton_reference):
+            P, locked = P0.copy(), locked0.copy()
+            rng = np.random.default_rng([seed, 7])
+            s = newton(S.pieces[0], 0, P, rows.copy(), locked, rng, target,
+                       box)
+            out.append((s, P, locked, rng.bit_generator.state))
+        (s1, P1, l1, r1), (s2, P2, l2, r2) = out
+        assert (s1 & start).any() and (s1 & ~start).any() and not s1.all()
+        assert np.array_equal(s1, s2)
+        assert P1.tobytes() == P2.tobytes()
+        assert np.array_equal(l1, l2)
+        assert r1 == r2
+        succ[name] = s1
+    # a row stopped by the box would have converged without it; a row
+    # that converges inside it does so in the open box too
+    assert (succ["open"] & ~succ["tight"]).any()
+    assert not (succ["tight"] & ~succ["open"]).any()
 
 
 def _generators_reference(piece, p):
