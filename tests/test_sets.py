@@ -147,9 +147,11 @@ class TestSampling:
         assert per_newton and max(per_newton) < _NEWTON_ITERS
         assert len(P) == cfg.samples_per_shell
         assert (S.status(P, cfg.eq_tol) >= dsl.BOUNDARY).all()
+        # the sampler's filter, with its 1e-9 slack
         r = np.abs(P[:, 0])
-        assert (r >= sh.r_lo).all() and (r <= sh.r_hi).all()
-        assert (np.abs(P[:, 1]) <= sh.rho).all()
+        assert (r >= sh.r_lo * (1 - 1e-9)).all()
+        assert (r <= sh.r_hi * (1 + 1e-9)).all()
+        assert (np.abs(P[:, 1]) <= sh.rho * (1 + 1e-9)).all()
 
 
 def _newton_reference(piece, ci, P, rows, locked, rng, target, box):
@@ -195,8 +197,9 @@ def _newton_reference(piece, ci, P, rows, locked, rng, target, box):
         step = np.clip(step, -cap, cap)
         upd = np.flatnonzero(active)
         P[upd, colc[upd]] -= step[upd]
-        off = np.abs(P[upd, colc[upd]] - mid[colc[upd]])
-        active[upd[(off < lo[colc[upd]]) | (off > hi[colc[upd]])]] = False
+        c = colc[upd]
+        off = np.abs(P[upd, c] - mid[c])
+        active[upd[~((off >= lo[c]) & (off <= hi[c]))]] = False
     if succ.any():
         good = np.flatnonzero(succ & (col >= 0))
         locked[good, colc[good]] = True
@@ -264,8 +267,8 @@ def test_newton_matches_full_row_reference(text, dim, on_target, seed):
         assert np.array_equal(l1, l2)
         assert r1 == r2
         succ[name] = s1
-    # a row stopped by the box would have converged without it; a row
-    # that converges inside it does so in the open box too
+    # the box stops some rows that converge without it, and lets no row
+    # converge that fails without it
     assert (succ["open"] & ~succ["tight"]).any()
     assert not (succ["tight"] & ~succ["open"]).any()
 
