@@ -2,10 +2,11 @@
 
 Ordering cones are generator-specified pointed convex cones with a chosen
 interior point e.  Scalarization uses the Gerstewitz-type function
-phi(y) = inf{t real : t e in y + K}, computed by bisection with sampled
-K-membership.  The Fermat certificate search looks for c* in the positive
-polar with 0 in D*F(inf, ybar)(c*) + N_Omega(inf), gated on the weak
-efficiency and constraint-qualification falsifiers.
+phi(y) = inf{t real : t e in y + K}, in its dual form: the maximum of
+<c, y> over the sampled positive polar rays c normalized to <c, e> = 1
+(Gerth & Weidner 1990).  The Fermat certificate search looks for c* in the
+positive polar with 0 in D*F(inf, ybar)(c*) + N_Omega(inf), gated on the
+weak efficiency and constraint-qualification falsifiers.
 """
 
 import math
@@ -61,26 +62,15 @@ class OrderingCone:
     def kplus(self, cfg):
         if self._kplus is None:
             kp = positive_polar(self, cfg)
-            emin = INF
-            if kp.status == Status.RAYS:
-                emin = float(np.min(kp.rays @ self.e))
+            if kp.status != Status.RAYS:
+                raise SetError("ordering cone is not pointed: its generators "
+                               "positively span the space (polar is {0})")
+            emin = float(np.min(kp.rays @ self.e))
             if not emin > 1e-6:
                 raise SetError("interior point is not strictly interior "
                                "(min polar pairing %.3g)" % emin)
             self._kplus = kp
         return self._kplus
-
-    def contains(self, y, cfg, slack=None):
-        """Sampled membership y in K via the positive polar."""
-        y = np.asarray(y, dtype=float)
-        kp = self.kplus(cfg)
-        if kp.status != Status.RAYS:
-            return True  # polar is {0}: K is the whole space
-        _, step = sphere_grid(self.m, grid_sizes_from_config(cfg))
-        if slack is None:
-            slack = math.sin(step) + 1e-9
-        return float(np.min(kp.rays @ y)) >= -slack * (1.0 +
-                                                       np.linalg.norm(y))
 
 
 def positive_polar(K, cfg):
@@ -94,29 +84,25 @@ def positive_polar(K, cfg):
                    _trusted=True)
 
 
-def scalarize(K, e, y, cfg):
-    """phi(y) = inf{t : t e - y in K}, by monotone bisection.
+def _phi_rays(K, e, cfg):
+    """The sampled polar rays of K, each scaled so that <c, e> = 1.
 
-    e must be the cone's interior point (t e - y in K is monotone in t);
-    53 iterations take the bracket to machine precision of the sampled
-    membership threshold.
+    phi(y) is the maximum of their products with y; e must be an interior
+    point of K, so that every polar ray pairs positively with it.
+    """
+    rays = K.kplus(cfg).rays
+    return rays / (rays @ e)[:, None]
+
+
+def scalarize(K, e, y, cfg):
+    """phi(y) = inf{t : t e - y in K} = max over c in K+ of <c, y> / <c, e>.
+
+    The dual form of the Gerstewitz functional of a closed convex cone with
+    interior point e (Gerth & Weidner 1990, JOTA 67), over the sampled
+    positive polar.
     """
     y = np.asarray(y, dtype=float).reshape(K.m)
-    kp = K.kplus(cfg)
-    emin = float(np.min(kp.rays @ e)) if kp.status == Status.RAYS else 1.0
-    lam = 2.0 * (1.0 + float(np.linalg.norm(y))) / max(emin, 1e-6)
-    lo, hi = -lam, lam
-    if not K.contains(hi * e - y, cfg):
-        return INF
-    if K.contains(lo * e - y, cfg):
-        return -INF
-    for _ in range(53):
-        mid = 0.5 * (lo + hi)
-        if K.contains(mid * e - y, cfg):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return float(np.max(_phi_rays(K, e, cfg) @ y))
 
 
 def scalarize_subdiff(K, e, y, cfg, tol=0.05):
@@ -126,19 +112,9 @@ def scalarize_subdiff(K, e, y, cfg, tol=0.05):
     grid and returned as points on the normalization slice.
     """
     y = np.asarray(y, dtype=float).reshape(K.m)
-    phi = scalarize(K, e, y, cfg)
-    if not math.isfinite(phi):
-        return HSlice.make_empty(K.m)
-    kp = K.kplus(cfg)
-    if kp.status != Status.RAYS:
-        return HSlice.make_empty(K.m)
-    pair = kp.rays @ e
-    ok = pair > 1e-9
-    c = kp.rays[ok] / pair[ok, None]
+    c = _phi_rays(K, e, cfg)
     vals = c @ y
-    keep = c[np.abs(vals - phi) <= tol * (1.0 + np.linalg.norm(y))]
-    if keep.shape[0] == 0:
-        return HSlice.make_empty(K.m)
+    keep = c[vals >= np.max(vals) - tol * (1.0 + np.linalg.norm(y))]
     return HSlice(K.m, points=_first_seen(keep, 0.01))
 
 
@@ -189,6 +165,7 @@ def check_weak_efficient(F, omega, K, ybar, cfg, margin=0.02):
     (closure membership evidence).
     """
     ybar = np.asarray(ybar, dtype=float).reshape(K.m)
+    C = _phi_rays(K, K.e, cfg)
     S = _constrained_graph(F, omega)
     closest = INF
     probes = 0
@@ -197,16 +174,20 @@ def check_weak_efficient(F, omega, K, ybar, cfg, margin=0.02):
         sh = Shell(range(F.n), lo, 2.0 * lo, center=ybar, rho=8.0)
         P = S.sample_shell(sh, cfg.samples_per_shell // 4, cfg,
                            label="weff|%d" % j)
-        for row in P:
-            y = row[F.n:]
-            closest = min(closest, float(np.linalg.norm(y - ybar)))
-            phi = scalarize(K, K.e, y - ybar, cfg)
-            probes += 1
-            if phi < -margin * (1.0 + np.linalg.norm(y - ybar)):
-                return Verdict.failed(
-                    {"x": row[:F.n].tolist(), "y": y.tolist(),
-                     "phi": float(phi)},
-                    closure_gap=closest)
+        d = P[:, F.n:] - ybar
+        # one dot product per row, as np.linalg.norm takes it for a single
+        # vector, so closure_gap does not depend on the batching
+        dist = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+        phi = np.max(d @ C.T, axis=1)
+        bad = np.flatnonzero(phi < -margin * (1.0 + dist))
+        if bad.size:
+            i = int(bad[0])
+            return Verdict.failed(
+                {"x": P[i, :F.n].tolist(), "y": P[i, F.n:].tolist(),
+                 "phi": float(phi[i])},
+                closure_gap=min(closest, float(np.min(dist[:i + 1]))))
+        closest = min(closest, float(np.min(dist, initial=INF)))
+        probes += len(P)
     return Verdict.passed(probes=probes,
                           closure_gap=None if np.isinf(closest)
                           else float(closest),

@@ -190,6 +190,26 @@ class TestCommands:
             pytest.approx(1.0, abs=0.05)
         assert env["verdicts"] and set(env["verdicts"]) == {"Pass"}
 
+    @pytest.mark.parametrize("graph", ["v2 == v1 && v3 == 0",
+                                       "v1 == 0 && v2 == 0 && v3 == 0"],
+                             ids=["values", "empty-shells"])
+    def test_fermat_spanning_cone_exit_2(self, tmp_path, capsys, graph):
+        # generators 120 degrees apart positively span the plane; the
+        # second graph puts no value in any weak-efficiency shell
+        doc = {"mappings": {"Pair": {"n": 1, "m": 2, "graph": graph}},
+               "cones": {"Tri": {"generators": [[1, 0], [-0.5, 0.866],
+                                                [-0.5, -0.866]],
+                                 "interior_point": [1, 0]}},
+               "config": PROBLEM["config"]}
+        prob = tmp_path / "span.json"
+        prob.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "fermat", "--problem", str(prob),
+                             "--map", "Pair", "--cone", "Tri",
+                             "--ybar", "0 0")
+        assert code == 2
+        assert out == ""
+        assert "not pointed" in json.loads(err)["message"]
+
 
 def reject(name):
     raise ValueError("non-JSON constant %s" % name)

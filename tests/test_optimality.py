@@ -12,7 +12,8 @@ from infcone.maps import MultiMap
 from infcone.optimality import (OrderingCone, check_cq_infinity,
                                 check_weak_efficient, fermat_certificate,
                                 positive_polar, scalarize, scalarize_subdiff)
-from infcone.sets import SetError, full_space
+from infcone.sets import SetError, Shell, full_space
+from infcone.suite import fixture_cone, fixture_map, fixture_set
 from infcone.verdict import Verdict
 
 
@@ -48,8 +49,19 @@ class TestOrderingCone:
         assert not contains_direction(kp, np.array([-1.0, 0.0]), 0.05)
 
     def test_membership(self, orthant, fast_cfg):
-        assert orthant.contains(np.array([2.0, 0.5]), fast_cfg)
-        assert not orthant.contains(np.array([-1.0, 1.0]), fast_cfg)
+        # y in K iff phi(-y) <= 0
+        assert scalarize(orthant, orthant.e, [-2.0, -0.5], fast_cfg) <= 0.0
+        assert scalarize(orthant, orthant.e, [1.0, -1.0], fast_cfg) > 0.0
+
+    def test_spanning_generators_rejected(self, fast_cfg):
+        # three rays 120 degrees apart pass the pairwise pointedness check,
+        # but they positively span the plane: the polar is {0}
+        K = OrderingCone([[1.0, 0.0], [-0.5, 0.866], [-0.5, -0.866]],
+                         [1.0, 0.0])
+        with pytest.raises(SetError, match="not pointed"):
+            K.kplus(fast_cfg)
+        with pytest.raises(SetError, match="not pointed"):
+            scalarize(K, K.e, [1.0, 1.0], fast_cfg)
 
 
 class TestScalarize:
@@ -62,8 +74,8 @@ class TestScalarize:
             pytest.approx(-2.0, abs=1e-6)
 
     def test_orthant_oracle(self, orthant, fast_cfg):
-        # phi(y) = max(y1, y2) for K = R^2_+, e = (1, 1)
-        # bisection against sampled membership: grid-slack error ~2e-3
+        # phi(y) = max(y1, y2) for K = R^2_+, e = (1, 1); the sampled polar
+        # reaches a grid step past K+: error ~2e-3 of 1 + |y|
         assert scalarize(orthant, orthant.e, [1.0, 2.0], fast_cfg) == \
             pytest.approx(2.0, abs=0.01)
         assert scalarize(orthant, orthant.e, [-1.0, -3.0], fast_cfg) == \
@@ -96,6 +108,52 @@ class TestWeakEfficiency:
         v = check_weak_efficient(F, full_space(1), pos1, [1.0], fast_cfg)
         assert v.status == "Fail"
         assert v.witness["phi"] < 0
+
+    @pytest.mark.parametrize("problem, ybar, status", [
+        ("square", [1.0], "Fail"),
+        ("square", [0.05], "Pass"),
+        ("rampbox", [0.5, 0.5], "Fail"),
+    ])
+    def test_batched_matches_row_loop(self, pos1, fast_cfg, problem, ybar,
+                                      status):
+        if problem == "square":
+            F, omega, K = make_map("v2 == v1^2", name="Sq"), full_space(1), \
+                pos1
+        else:
+            F, omega, K = fixture_map("RampOrBox"), \
+                fixture_set("CuspRegion"), fixture_cone("Quadrant")
+        got = check_weak_efficient(F, omega, K, ybar, fast_cfg)
+        want = _weak_efficient_rows(F, omega, K, ybar, fast_cfg)
+        assert got.status == want.status == status
+        assert got.diagnostics == want.diagnostics
+        if status == "Fail":
+            assert got.witness["x"] == want.witness["x"]
+            assert got.witness["y"] == want.witness["y"]
+            assert got.witness["phi"] == \
+                pytest.approx(want.witness["phi"], abs=1e-12)
+
+
+def _weak_efficient_rows(F, omega, K, ybar, cfg, margin=0.02):
+    """check_weak_efficient one sampled row at a time, with the one-row
+    scalarize: the reference for the batched shell pass."""
+    ybar = np.asarray(ybar, dtype=float)
+    S = optimality._constrained_graph(F, omega)
+    closest, probes = np.inf, 0
+    for j in range(cfg.shells + 2):
+        lo = 0.2 * 2.0 ** j
+        sh = Shell(range(F.n), lo, 2.0 * lo, center=ybar, rho=8.0)
+        for row in S.sample_shell(sh, cfg.samples_per_shell // 4, cfg,
+                                  label="weff|%d" % j):
+            y = row[F.n:]
+            closest = min(closest, float(np.linalg.norm(y - ybar)))
+            phi = scalarize(K, K.e, y - ybar, cfg)
+            probes += 1
+            if phi < -margin * (1.0 + np.linalg.norm(y - ybar)):
+                return Verdict.failed({"x": row[:F.n].tolist(),
+                                       "y": y.tolist(), "phi": phi},
+                                      closure_gap=closest)
+    return Verdict.passed(probes=probes, closure_gap=closest,
+                          note=optimality._BUDGET_NOTE)
 
 
 class TestFermat:

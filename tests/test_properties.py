@@ -96,7 +96,8 @@ def test_scalarize_lipschitz(y1, y2, z1, z2):
     fy = scalarize(ORTHANT, ORTHANT.e, y, CFG)
     fz = scalarize(ORTHANT, ORTHANT.e, z, CFG)
     gap = float(np.linalg.norm(y - z))
-    # phi = max(y1, y2): 1-Lipschitz up to the sampled-membership slack
+    # phi = max(y1, y2): 1-Lipschitz up to the slack of the sampled polar,
+    # whose rays reach a grid step past K+
     assert abs(fy - fz) <= gap + 0.02 * (1.0 + np.linalg.norm(y)
                                          + np.linalg.norm(z))
 
