@@ -32,8 +32,8 @@ _VERDICTS = ("Pass", "Fail", "Inconclusive")
 
 
 def _vec(text, what, lo, hi=None):
-    """The coordinates in the argument `what`: from lo to hi of them (just
-    lo without hi), else a SetError, which exits 2."""
+    """The finite coordinates in the argument `what`: from lo to hi of
+    them (just lo without hi), else a SetError, which exits 2."""
     if text is None:
         raise SetError("a required point/vector argument is missing")
     v = np.array([float(t) for t in text.replace(",", " ").split()])
@@ -41,6 +41,9 @@ def _vec(text, what, lo, hi=None):
     if not lo <= len(v) <= hi:
         raise SetError("%s needs %s coordinate(s), got %d" % (
             what, lo if lo == hi else "%d to %d" % (lo, hi), len(v)))
+    if not np.isfinite(v).all():
+        raise SetError("%s needs finite coordinates, got %s" % (
+            what, v.tolist()))
     return v
 
 
@@ -120,6 +123,8 @@ def _emit(args, envelope):
 
 
 def _cmd_validate(args, prob, cfg):
+    for cd in prob.cones.values():
+        OrderingCone.from_conedef(cd).kplus(cfg)
     return {"sets": sorted(prob.sets), "functions": sorted(prob.functions),
             "mappings": sorted(prob.mappings), "cones": sorted(prob.cones),
             "normalized": prob.pretty()}, []

@@ -98,8 +98,9 @@ class MultiMap:
 class JelonekSample:
     """Sampled asymptotic value set within a window.
 
-    values are cluster centers of y-values witnessed at ever larger
-    radii; radii[i] is the largest radius at which values[i] was seen.
+    values[i] is the mean of the sampled y-values in the i-th persistent
+    cell over the final persistence window of shells; radii[i] is the
+    inner radius of the last of those shells.
     """
 
     __slots__ = ("values", "radii", "window", "mesh")
@@ -124,50 +125,37 @@ class JelonekSample:
 def jelonek_set(F, window, cfg, mesh=0.1, label=""):
     """Asymptotic values of F inside a box window, by cell persistence.
 
-    window: (m, 2) array of [lo, hi] per output coordinate.  A cell is
-    kept when shell samples of the graph keep hitting it through the
-    final persistence window of radii.
+    window: (m, 2) array of finite [lo, hi] per output coordinate, and
+    mesh > 0 the side of the cells it is cut into.  Only the final
+    persistence window of shells is sampled; a cell is kept when every
+    one of them hits it.
     """
     window = np.asarray(window, dtype=float).reshape(F.m, 2)
     lo, hi = window[:, 0], window[:, 1]
+    if not 0.0 < mesh < math.inf:
+        raise SetError("mesh must be positive and finite, got %r" % mesh)
+    if not (np.isfinite(window).all() and (lo <= hi).all()):
+        raise SetError("window rows must be finite with lo <= hi, got %s"
+                       % window.tolist())
     center = 0.5 * (lo + hi)
     rad = float(np.linalg.norm(hi - lo)) / 2.0 + mesh
-    J = cfg.shells
-    cells = []
-    for j in range(J):
+    hits = []  # per tail shell: {cell index: [y-values in the cell]}
+    for j in tail_levels(cfg.shells, cfg.persistence_window):
         sh = Shell(range(F.n), cfg.radius(j), cfg.radius(j + 1),
                    center=center, rho=rad)
         P = F.graph.sample_shell(sh, cfg.samples_per_shell, cfg,
                                  label="jel|%s|%d" % (label or F.name, j))
-        shell_cells = {}
-        if len(P):
-            Y = P[:, F.n:]
-            inside = np.all((Y >= lo - 1e-12) & (Y <= hi + 1e-12), axis=1)
-            Y = Y[inside]
-            idx = np.floor((Y - lo) / mesh).astype(int)
-            for key, y in zip(map(tuple, idx), Y):
-                s, c = shell_cells.get(key, (np.zeros(F.m), 0))
-                shell_cells[key] = (s + y, c + 1)
-        cells.append(shell_cells)
-    window_n = cfg.persistence_window
-    persistent = set(cells[J - 1]) if cells[J - 1] else set()
-    for j in range(J - 2, J - 1 - window_n, -1):
-        persistent &= set(cells[j])
-    values, radii = [], []
-    for key in sorted(persistent):
-        j = J - 1
-        while j > 0 and key in cells[j - 1]:
-            j -= 1
-        total = np.zeros(F.m)
-        count = 0
-        for jj in range(j, J):
-            if key in cells[jj]:
-                s, c = cells[jj][key]
-                total += s
-                count += c
-        values.append(total / count)
-        radii.append(cfg.radius(J - 1))
-    return JelonekSample(values, radii, window, mesh)
+        Y = P[:, F.n:]
+        Y = Y[np.all((Y >= lo - 1e-12) & (Y <= hi + 1e-12), axis=1)]
+        cells = {}
+        for key, y in zip(map(tuple, np.floor((Y - lo) / mesh).tolist()), Y):
+            cells.setdefault(key, []).append(y)
+        hits.append(cells)
+    keys = sorted(set.intersection(*map(set, hits)))
+    values = [np.mean([y for h in hits for y in h[k]], axis=0)
+              for k in keys]
+    return JelonekSample(values, [cfg.radius(cfg.shells - 1)] * len(values),
+                         window, mesh)
 
 
 # ---------------------------------------------------------------------------

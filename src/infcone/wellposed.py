@@ -16,12 +16,12 @@ import math
 
 import numpy as np
 
-from .cones import (INF, Status, dedup_directions, hmap_kernel, phm_norm,
-                    slice_hmap)
-from .limits import (_match_matrix, _tail_cone, _tail_runs, divergent,
-                     limit_points, normal_cone_at_infinity_total)
+from .cones import INF, RayCone, Status, hmap_kernel, phm_norm, slice_hmap
+from .limits import (ApproachSpec, divergent, limit_points,
+                     normal_cone_at_infinity_total, outer_limit)
 from .maps import (_graph_samples, _pinned_min, coderivative_at_infinity,
                    distance_to_image, distances_to_image, dists_to_preimage)
+from .sets import row_norms
 from .verdict import Verdict, _jsonable
 
 _BUDGET_NOTE = "no counterexample within budget (not a proof)"
@@ -79,6 +79,12 @@ def _subsample(P, k):
         return P
     sel = np.linspace(0, len(P) - 1, k).round().astype(int)
     return P[sel]
+
+
+def _battery_rows(F, ybar, cfg, j, label, k):
+    """k evenly spaced rows of a quarter-budget shell-j graph draw."""
+    return _subsample(_graph_samples(F, ybar, cfg, j,
+                                     cfg.samples_per_shell // 4, label), k)
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +145,7 @@ def test_linear_openness(F, ybar, mu, cfg, pts_per_shell=12):
     r_grid = (0.5, 0.1, 0.02)
     checked = 0
     for j in range(cfg.shells):
-        P = _subsample(_graph_samples(F, ybar, cfg, j,
-                                      cfg.samples_per_shell // 4, "opn"),
-                       pts_per_shell)
+        P = _battery_rows(F, ybar, cfg, j, "opn", pts_per_shell)
         probes = []  # (x, r, z) in the order they are judged
         for row in P:
             x, y = row[:F.n], row[F.n:]
@@ -237,9 +241,7 @@ def test_inverse_lipschitz(F, ybar, ell, cfg, pts_per_shell=10):
                 targets.append(t)
     checked = 0
     for j in range(cfg.shells):
-        P = _subsample(_graph_samples(F, ybar, cfg, j,
-                                      cfg.samples_per_shell // 4, "ilip"),
-                       pts_per_shell)
+        P = _battery_rows(F, ybar, cfg, j, "ilip", pts_per_shell)
         probes = []  # (x, y', y, |y' - y|) in the order they are judged
         for row in P:
             x, yprime = row[:F.n], row[F.n:]
@@ -350,9 +352,7 @@ def _openness_probe(F, ybar, cfg, pts_per_shell=8):
     rho0 = cfg.rho_start
     deltas = (0.1, 0.01, 1e-3, 1e-4)
     for j in range(cfg.shells):
-        P = _subsample(_graph_samples(F, ybar, cfg, j,
-                                      cfg.samples_per_shell // 4, "open"),
-                       pts_per_shell)
+        P = _battery_rows(F, ybar, cfg, j, "open", pts_per_shell)
         # every x +- d e_k, in (x, d, k, sign) order
         probes = []
         for row in P:
@@ -376,24 +376,23 @@ def _openness_probe(F, ybar, cfg, pts_per_shell=8):
 
 
 def _distance_subgradient_fields(F, ybar, cfg, pts_per_shell=10):
-    """Per-shell samples of grad d_F near the graph at large radii.
+    """grad d_F near the graph at large radii, as one outer limit.
 
-    Returns (values_per_shell, big_dirs_per_shell): the first feeds the
-    bounded subgradient limit points, the second the blow-up direction
-    field (threshold 2^j at shell j).
+    The shell-j field takes central differences of d_F just off the
+    sampled graph rows and keeps the unit directions of the gradients
+    with |g| >= 2^j: the blow-up field.  It records the gradients with
+    |g| <= 10 under level j on the way.  Returns (result, values): the
+    outer_limit result of the blow-up field, and per level the recorded
+    gradients (none at the levels outer_limit did not sample).
     """
     ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
     dim = F.n + F.m
+    values = {}
 
-    values = []
-    big = []
-    for j in range(cfg.shells):
-        P = _subsample(_graph_samples(F, ybar, cfg, j,
-                                      cfg.samples_per_shell // 4, "fgrad"),
-                       pts_per_shell)
-        vals = []
-        dirs = []
-        tau = 2.0 ** j
+    def sampler(j):
+        return _battery_rows(F, ybar, cfg, j, "fgrad", pts_per_shell)
+
+    def field(j, P):
         rng = cfg.rng("fgrad", F.name, j)
         W, H = [], []
         for row in P:
@@ -410,17 +409,14 @@ def _distance_subgradient_fields(F, ybar, cfg, pts_per_shell=10):
         D = D.reshape(2, len(W), dim)
         with np.errstate(invalid="ignore"):
             G = (D[0] - D[1]) / (2.0 * H[:, None])
-        for g in G:
-            if not np.isfinite(g).all():
-                continue
-            gn = float(np.linalg.norm(g))
-            if gn <= 10.0:
-                vals.append(g)
-            if gn >= tau:
-                dirs.append(g / gn)
-        values.append(vals)
-        big.append(np.array(dirs) if dirs else np.zeros((0, dim)))
-    return values, big
+        G = G[np.isfinite(G).all(axis=1)]
+        gn = row_norms(G)
+        values[j] = G[gn <= 10.0]
+        big = gn >= 2.0 ** j
+        return G[big] / gn[big, None]
+
+    res = outer_limit(field, ApproachSpec(dim, sampler, cfg.shells), cfg)
+    return res, [values.get(j, ()) for j in range(cfg.shells)]
 
 
 def mordukhovich_criterion(F, ybar, cfg):
@@ -430,7 +426,11 @@ def mordukhovich_criterion(F, ybar, cfg):
     report carries the openness probe, the Lipschitz bound ell*, the
     sampled bounded-subgradient cluster of d_F with its norm bound check,
     and the blow-up (singular) direction field which should be trivial
-    when the criterion holds.
+    when the criterion holds.  Both d_F readings come from one
+    outer_limit pass, so they sample only its tail shells: the cluster
+    (f_set) persists through the last persistence_window of them, and
+    the blow-up cone (f_singular) is that pass's cone, ZeroOnly when no
+    shell had a sample near ybar.
     """
     ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
     res, fallback = _battery_cone(F, ybar, cfg, "crit")
@@ -459,9 +459,8 @@ def mordukhovich_criterion(F, ybar, cfg):
 
     report["openness"] = _openness_probe(F, ybar, cfg).to_json()
 
-    values, big = _distance_subgradient_fields(F, ybar, cfg)
-    window = cfg.persistence_window
-    f_points = limit_points(values, 0.05, window)
+    blowup, values = _distance_subgradient_fields(F, ybar, cfg)
+    f_points = limit_points(values, 0.05, cfg.persistence_window)
     report["f_set"] = [p.tolist() for p in f_points]
     if math.isfinite(ell_star):
         bound = math.sqrt(ell_star ** 2 + 1.0) * 1.1 + 0.05
@@ -473,13 +472,10 @@ def mordukhovich_criterion(F, ybar, cfg):
         report["f_bound"] = {"bound": None, "ok": None,
                              "note": "ell* not finite"}
     # blow-up directions of grad d_F: tail-persistent ones mean the
-    # singular set is nontrivial
-    dim = F.n + F.m
-    cands = dedup_directions(np.vstack(big), cfg.ang_tol / 2.0)
-    matched = _match_matrix(cands, big, [False] * len(big),
-                            math.cos(cfg.ang_tol))
-    mask, _ = _tail_runs(matched, len(big) - 1, window)
-    sing = _tail_cone(cands, mask, True, dim)
+    # singular set is nontrivial; with no sample near ybar there are none
+    sing = blowup.cone
+    if sing.is_empty:
+        sing = RayCone.zero(F.n + F.m)
     report["f_singular"] = sing.to_json()
     report["f_singular_trivial"] = sing.is_zero
     return slice_verdict, report

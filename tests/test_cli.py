@@ -211,6 +211,19 @@ class TestCommands:
         assert "not pointed" in json.loads(err)["message"]
 
 
+    def test_validate_spanning_cone_exit_2(self, tmp_path, capsys):
+        # validate builds each cone and its polar, as fermat does
+        doc = dict(PROBLEM, cones={"Tri": {
+            "generators": [[1, 0], [-0.5, 0.866], [-0.5, -0.866]],
+            "interior_point": [1, 0]}})
+        prob = tmp_path / "span.json"
+        prob.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", "--problem", str(prob))
+        assert code == 2
+        assert out == ""
+        assert "not pointed" in json.loads(err)["message"]
+
+
 def reject(name):
     raise ValueError("non-JSON constant %s" % name)
 
@@ -287,6 +300,40 @@ class TestPointLength:
         code, out, err = run(capsys, *argv, "--problem", problem_file)
         assert code == 2 and out == ""
         assert json.loads(err)["message"].startswith(flag + " needs ")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["project", "--set", "Half", "--point", "nan 1"], "--point"),
+        (["project", "--set", "Half", "--point", "inf -1"], "--point"),
+        (["normal-cone", "--set", "Half", "--x", "nan 0"], "--x"),
+        (["coderivative", "--map", "Id", "--at-infinity", "--ybar", "inf"],
+         "--ybar"),
+        (["jelonek", "--map", "Id", "--window", "nan,1"], "--window"),
+    ], ids=["project-nan", "project-inf", "normal-cone-nan",
+            "coderivative-ybar-inf", "jelonek-window-nan"])
+    def test_non_finite_exit_2(self, problem_file, capsys, argv, flag):
+        # these used to run on: a zero distance to [nan, 1], a zero cone,
+        # RuntimeWarnings and exit 3
+        code, out, err = run(capsys, *argv, "--problem", problem_file)
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"].startswith(
+            flag + " needs finite coordinates")
+
+
+class TestJelonekInputs:
+    """A mesh or window no cell rule can use exits 2 and names itself; a
+    zero mesh used to divide by zero and a negative one to run on."""
+
+    @pytest.mark.parametrize("extra, word", [
+        (["--mesh", "0"], "mesh"), (["--mesh", "-1"], "mesh"),
+        (["--mesh", "nan"], "mesh"), (["--mesh", "inf"], "mesh"),
+        (["--window", "1,-1"], "window"),
+    ], ids=["mesh-zero", "mesh-negative", "mesh-nan", "mesh-inf",
+            "window-lo-above-hi"])
+    def test_exit_2(self, problem_file, capsys, extra, word):
+        code, out, err = run(capsys, "jelonek", "--problem", problem_file,
+                             "--map", "Id", *extra)
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"].startswith(word + " ")
 
 
 class TestBadDocuments:

@@ -14,7 +14,7 @@ from infcone.maps import (MultiMap, _pinned_min, check_prop314,
                           distance_to_image, distances_to_image,
                           dists_to_preimage, function_value, jelonek_set,
                           point_subdifferential)
-from infcone.sets import ClosedSet, SetError, row_norms
+from infcone.sets import ClosedSet, SetError, Shell, row_norms
 from infcone.suite import fixture_function, fixture_map, load_problem
 
 
@@ -324,6 +324,49 @@ class TestJelonek:
         assert len(js.values) >= 1
         assert min(abs(v[0]) for v in js.values) <= 0.15
         assert all(abs(v[0]) <= 0.3 for v in js.values)
+
+    def test_samples_only_the_window(self, fast_cfg, monkeypatch):
+        F = make_map("v1 * v2 == 1")
+        labels = []
+        sample_shell = ClosedSet.sample_shell
+
+        def recorded(self, shell, count, cfg, label=""):
+            labels.append(label)
+            return sample_shell(self, shell, count, cfg, label=label)
+
+        monkeypatch.setattr(ClosedSet, "sample_shell", recorded)
+        cfg = fast_cfg.replace(shells=10)
+        assert cfg.persistence_window == 3
+        jelonek_set(F, np.array([[-2.0, 2.0]]), cfg, mesh=0.1)
+        assert labels == ["jel|F|7", "jel|F|8", "jel|F|9"]
+
+    def test_cells_match_all_shell_rule(self, fast_cfg):
+        # the rule before sampling only the window: every shell sampled,
+        # cells kept when the last persistence_window shells all hit them
+        F = make_map("v1 * v2 == 1")
+        lo, hi, mesh = -2.0, 2.0, 0.1
+        hit = []
+        for j in range(fast_cfg.shells):
+            sh = Shell(range(1), fast_cfg.radius(j), fast_cfg.radius(j + 1),
+                       center=np.zeros(1), rho=(hi - lo) / 2.0 + mesh)
+            Y = F.graph.sample_shell(sh, fast_cfg.samples_per_shell,
+                                     fast_cfg, label="jel|F|%d" % j)[:, 1:]
+            Y = Y[np.all((Y >= lo - 1e-12) & (Y <= hi + 1e-12), axis=1)]
+            hit.append(set(map(tuple, np.floor((Y - lo) / mesh)
+                               .astype(int).tolist())))
+        want = set.intersection(*hit[-fast_cfg.persistence_window:])
+        js = jelonek_set(F, np.array([[lo, hi]]), fast_cfg, mesh=mesh)
+        got = [tuple(np.floor((v - lo) / mesh).astype(int).tolist())
+               for v in js.values]
+        assert want and got == sorted(want)
+        assert js.radii == [fast_cfg.radius(fast_cfg.shells - 1)] * len(got)
+
+    @pytest.mark.parametrize("lo", [-np.inf, np.nan])
+    def test_non_finite_window_raises(self, fast_cfg, lo):
+        # the CLI stops these at --window; a library caller gets here
+        with pytest.raises(SetError, match="^window rows must be finite"):
+            jelonek_set(make_map("v1 * v2 == 1"), np.array([[lo, 2.0]]),
+                        fast_cfg)
 
 
 class TestSubdifferential:

@@ -5,11 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from infcone import wellposed
 from infcone.cones import INF
 from infcone.dsl import parse_problem
-from infcone.maps import MultiMap
+from infcone.limits import limit_points
+from infcone.maps import MultiMap, _graph_samples, distances_to_image
 from infcone.suite import fixture_map
-from infcone.wellposed import (check_nonsingularity,
+from infcone.wellposed import (_subsample, check_nonsingularity,
                                estimate_regularity_modulus,
                                mordukhovich_criterion, well_posed_report)
 from infcone.wellposed import test_inverse_lipschitz as inverse_lip_check
@@ -132,3 +134,72 @@ class TestCriterionAndReport:
                     "lipschitz_like", "regularity", "criterion", "moduli"):
             assert key in rep
         assert rep["moduli"]["mu_star"] == pytest.approx(1.0, rel=0.05)
+
+
+def all_shell_values(F, ybar, cfg, pts_per_shell=10):
+    """The bounded d_F gradients of every shell, drawn as the criterion drew
+    them with one loop over all shells, before its field went through
+    outer_limit."""
+    dim = F.n + F.m
+    values = []
+    for j in range(cfg.shells):
+        P = _subsample(_graph_samples(F, np.atleast_1d(ybar), cfg, j,
+                                      cfg.samples_per_shell // 4, "fgrad"),
+                       pts_per_shell)
+        vals = []
+        rng = cfg.rng("fgrad", F.name, j)
+        W, H = [], []
+        for row in P:
+            for eta in (1e-3, 1e-5):
+                u = rng.standard_normal(dim)
+                u /= np.linalg.norm(u)
+                W.append(row + eta * u)
+                H.append(eta / 10.0)
+        W, H = np.reshape(W, (-1, dim)), np.array(H)
+        E = np.eye(dim) * H[:, None, None]
+        Q = np.concatenate([W[:, None, :] + E, W[:, None, :] - E])
+        D = distances_to_image(F, Q[..., :F.n], Q[..., F.n:], cfg)
+        D = D.reshape(2, len(W), dim)
+        with np.errstate(invalid="ignore"):
+            G = (D[0] - D[1]) / (2.0 * H[:, None])
+        for g in G:
+            if np.isfinite(g).all() and float(np.linalg.norm(g)) <= 10.0:
+                vals.append(g)
+        values.append(vals)
+    return values
+
+
+class TestCriterionTail:
+    """The criterion's d_F field is one outer_limit pass: it samples only
+    the tail shells, and its bounded-gradient cluster is unchanged."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_samples_only_the_shells_read(self, identity, fast_cfg,
+                                          monkeypatch, threads):
+        cfg = fast_cfg.replace(shells=10, threads=threads)
+        assert cfg.persistence_window == 3
+        drawn = []
+
+        def recorded(F, ybar, cfg, j, count, label):
+            if label == "fgrad":
+                drawn.append(j)
+            return _graph_samples(F, ybar, cfg, j, count, label)
+
+        monkeypatch.setattr(wellposed, "_graph_samples", recorded)
+        verdict, report = mordukhovich_criterion(identity, 0.0, cfg)
+        assert sorted(drawn) == [6, 7, 8, 9]
+        assert verdict.ok and report["f_singular_trivial"]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", ["HalfLineParabola", "ZeroUnionRay"])
+    def test_f_set_matches_all_shell_loop(self, cfg, name, threads):
+        F = fixture_map(name)
+        _, report = mordukhovich_criterion(F, [0.0],
+                                           cfg.replace(threads=threads))
+        want = limit_points(all_shell_values(F, [0.0], cfg), 0.05,
+                            cfg.persistence_window)
+        assert want
+        assert report["f_set"] == [p.tolist() for p in want]
+        bound = report["f_bound"]["bound"]
+        assert report["f_bound"]["violations"] == \
+            [p.tolist() for p in want if np.linalg.norm(p) > bound]
