@@ -17,6 +17,9 @@ digest does.
 A case that flips, or whose status differs between labels, is a defect
 to report, not a seed to avoid.  Wall times per case go to the "seconds"
 field; they are not part of the matrix.
+The script exits 1, after writing the matrix, when a case is not Pass at
+some seed or its status differs from another label's, and names those
+cases on stderr; it exits 0 otherwise.
 """
 
 import argparse
@@ -81,6 +84,20 @@ def differs_from(result, doc, label, field="status"):
     return out
 
 
+def gate_failures(result):
+    """One line per case that is not Pass at a seed of `result` (one
+    label's matrix) and per case whose status differs from another label;
+    empty when the sweep passes."""
+    lines = ["%s: %s at seed %s" % (name, status, seed)
+             for name, row in sorted(result["status"].items())
+             for seed, status in sorted(row.items(), key=lambda kv: int(kv[0]))
+             if status != "Pass"]
+    for other, names in sorted(result.get("differs_from", {}).items()):
+        lines += ["%s: status differs from %s" % (name, other)
+                  for name in names]
+    return lines
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seeds", default="0-4", help="e.g. 0-4 or 0,3,7")
@@ -92,16 +109,16 @@ def main(argv=None):
     args = ap.parse_args(argv)
     src = args.src or os.path.join(os.path.dirname(__file__), "..", "src")
     sys.path.insert(0, os.path.abspath(src))
-    result = sweep(parse_seeds(args.seeds))
+    matrix = result = sweep(parse_seeds(args.seeds))
     if args.label:
         doc = {}
         if args.out and os.path.exists(args.out):
             with open(args.out) as fh:
                 doc = json.load(fh)
-        result["differs_from"] = differs_from(result, doc, args.label)
-        result["digest_differs_from"] = differs_from(result, doc, args.label,
+        matrix["differs_from"] = differs_from(matrix, doc, args.label)
+        matrix["digest_differs_from"] = differs_from(matrix, doc, args.label,
                                                      "digests")
-        doc[args.label] = result
+        doc[args.label] = matrix
         result = doc
     text = json.dumps(result, indent=1, sort_keys=True) + "\n"
     if args.out:
@@ -109,7 +126,10 @@ def main(argv=None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0
+    failures = gate_failures(matrix)
+    for line in failures:
+        print(line, file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -189,22 +189,42 @@ def canonicalize(raw_dirs, dim, resolution=0.01, nonempty=False):
 def dedup_directions(dirs, resolution):
     """Greedy first-seen angular dedup of an (k, d) array of unit rows.
 
-    One product per block of rows against the directions kept so far
+    The loop runs over the kept rows, not over all rows.  In each block of
+    _DEDUP_BLOCK rows, one product against the directions kept so far
     drops the rows inside the angle by more than 1e-9 in cosine (far above
-    rounding), as the greedy test would; the rest take that test in order.
-    A kept NaN row makes every later greedy max NaN: in a block, the rows
-    from the first non-finite one on all take the test.
+    rounding), as the greedy test would.  Then the first row left is kept,
+    and one product drops the later rows of the block inside its angle by
+    the same margin, until no row is left.  A row within 1e-9 of the
+    threshold of some kept direction takes the greedy test itself when it
+    comes first.  A kept NaN row makes every later greedy max NaN: from the
+    first non-finite row on, every row takes the greedy test.
     """
     cos_thr = math.cos(resolution)
+    lo, hi = cos_thr - 1e-9, cos_thr + 1e-9
     kept = np.empty_like(dirs)
     nk = 0
+    per_row = False  # from the first non-finite row on
     for i in range(0, len(dirs), _DEDUP_BLOCK):
         rows = dirs[i:i + _DEDUP_BLOCK]
-        if nk:
-            drop = np.max(rows @ kept[:nk].T, axis=1) > cos_thr + 1e-9
-            drop &= ~np.logical_or.accumulate(~np.isfinite(rows).all(axis=1))
-            rows = rows[~drop]
-        for d in rows:
+        bad = ~np.isfinite(rows).all(axis=1)
+        f = 0 if per_row else int(np.argmax(bad)) if bad.any() else len(rows)
+        per_row = f < len(rows)
+        # top[r]: the highest cosine of row r < f to a kept direction; the
+        # -inf at f stops the loop
+        top = np.full(f + 1, -np.inf)
+        if nk and f:
+            top[:f] = np.max(rows[:f] @ kept[:nk].T, axis=1)
+        j = int(np.argmax(top <= hi))
+        while j < f:
+            d = rows[j]
+            if top[j] <= lo or np.max(kept[:nk] @ d) <= cos_thr:
+                kept[nk] = d
+                nk += 1
+                np.maximum(top[j + 1:f], rows[j + 1:f] @ d, out=top[j + 1:f])
+            j += 1
+            if top[j] > hi:
+                j += int(np.argmax(top[j:] <= hi))
+        for d in rows[f:]:
             if nk and np.max(kept[:nk] @ d) > cos_thr:
                 continue
             kept[nk] = d

@@ -8,9 +8,7 @@ normal cones -- contingent, Frechet, limiting, at infinity with a value,
 at infinity total -- reduce to this engine plus the closed-set oracles.
 """
 
-import itertools
 import math
-import operator
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -20,7 +18,7 @@ from .cones import (RayCone, Status, canonicalize, cone_distance,
                     contains_direction, dedup_directions, in_convex_cone,
                     polar_cone)
 from .grids import grid_sizes_from_config, sphere_grid
-from .sets import ClosedSet, SetError, Shell
+from .sets import ClosedSet, SetError, Shell, row_norms
 from .verdict import Verdict
 
 
@@ -153,30 +151,78 @@ def _cells(X, side):
     coordinate, whatever the rounding in x / side, also once clipped at
     2^48, where x / side is still within 1/16 of exact.
     """
-    if len(X) == 0:
-        return []
     with np.errstate(all="ignore"):
         Q = np.nan_to_num(np.floor(np.asarray(X, dtype=float)[:, :3] / side))
-    return list(map(tuple, np.clip(Q, -2**48, 2**48).astype(int).tolist()))
+    return np.clip(Q, -2**48, 2**48).astype(np.int64)
 
 
-def _near(cells, x, key, radius):
-    """True when a point q hashed in the cells around key has
-    np.linalg.norm(x - q) <= radius; the cells only prune the pairs tested."""
-    return any(np.linalg.norm(x - q) <= radius
-               for off in itertools.product((-1, 0, 1), repeat=len(key))
-               for q in cells.get(tuple(map(operator.add, key, off)), ()))
+# odd multipliers that hash a cell index to one int64, wrapping around;
+# cells that share a hash only add pairs for the caller to test
+_CELL_HASH = np.array([-7046029254386353131, -4417276706812531889,
+                       1609587929392839161], dtype=np.int64)
+
+
+class _CellMap:
+    """The rows of an (N, d) array hashed by their _cells index at `side`.
+
+    around() lists the rows in the 3^k cells around given hashes.  The
+    cells only prune the pairs a caller tests; they decide nothing.
+    """
+
+    def __init__(self, X, side):
+        self.side = side
+        self.hashes, self.cell, self.size = np.unique(
+            self.hash(X), return_inverse=True, return_counts=True)
+        self.order = np.argsort(self.cell, kind="stable")
+        self.start = np.cumsum(self.size) - self.size
+        k = min(X.shape[1], 3)
+        offsets = np.indices((3,) * k, dtype=np.int64).reshape(k, -1).T - 1
+        self.steps = offsets @ _CELL_HASH[:k]
+
+    def hash(self, X):
+        Q = _cells(X, self.side)
+        return Q @ _CELL_HASH[:Q.shape[1]]
+
+    def around(self, hashes):
+        """(rows, ptr): rows[ptr[q]:ptr[q + 1]] are the rows in the cells
+        around hashes[q], ascending within each cell."""
+        near = hashes[:, None] + self.steps
+        pos = np.minimum(np.searchsorted(self.hashes, near),
+                         len(self.hashes) - 1)
+        hit = self.hashes[pos] == near
+        length = np.where(hit, self.size[pos], 0)
+        ptr = np.concatenate([[0], np.cumsum(length.sum(axis=1))])
+        length, first = length[hit], self.start[pos[hit]]
+        shift = np.repeat(first - (np.cumsum(length) - length), length)
+        return self.order[shift + np.arange(ptr[-1])], ptr
 
 
 def _first_seen(rows, radius):
     """Greedy first-seen clustering: a row becomes a representative when
-    no earlier representative lies within radius (cells of side 2*radius)."""
-    reps, cells = [], {}
+    no earlier representative lies within radius.
+
+    The loop runs over the representatives: each one drops the later rows
+    within radius (np.linalg.norm of their difference, bit for bit) among
+    the rows in the cells of side 2*radius around its own.
+    """
     X = np.asarray(rows, dtype=float)
-    for x, key in zip(X, _cells(X, 2.0 * radius)):
-        if not _near(cells, x, key, radius):
-            reps.append(x)
-            cells.setdefault(key, []).append(x)
+    if len(X) == 0:
+        return []
+    cells = _CellMap(X, 2.0 * radius)
+    near, ptr = cells.around(cells.hashes)
+    alive = np.ones(len(X) + 1, dtype=bool)  # the True past the end stops
+    reps = []
+    i = 0
+    while i < len(X):
+        reps.append(X[i])
+        alive[i] = False
+        c = cells.cell[i]
+        idx = near[ptr[c]:ptr[c + 1]]
+        idx = idx[alive[idx]]
+        alive[idx[row_norms(X[idx] - X[i]) <= radius]] = False
+        i += 1
+        if not alive[i]:
+            i += int(np.argmax(alive[i:]))
     return reps
 
 
@@ -187,16 +233,24 @@ def limit_points(shell_rows, mesh, window):
     pooled representatives again, and a pooled one persists when every
     tail shell has a representative within 2*mesh.  The point-side twin
     of _tail_runs; returns the persistent points in first-seen order.
+    The loops run over representatives: _first_seen takes a shell's rows
+    through numpy, and each pooled one meets a tail shell's
+    representatives in the cells of side 4*mesh around its own.
     """
     tail = [_first_seen(rows, mesh) for rows in shell_rows[-window:]]
     pooled = _first_seen([p for reps in tail for p in reps], mesh)
-    grids = []
+    if not pooled or not all(tail):
+        return []
+    P = np.array(pooled)
+    persist = np.ones(len(P), dtype=bool)
     for reps in tail:
-        grids.append({})
-        for p, key in zip(reps, _cells(reps, 4.0 * mesh)):
-            grids[-1].setdefault(key, []).append(p)
-    return [c for c, key in zip(pooled, _cells(pooled, 4.0 * mesh))
-            if all(_near(g, c, key, 2.0 * mesh) for g in grids)]
+        R = np.array(reps)
+        grid = _CellMap(R, 4.0 * mesh)
+        near, ptr = grid.around(grid.hash(P))
+        for n in np.flatnonzero(persist):
+            idx = near[ptr[n]:ptr[n + 1]]
+            persist[n] = np.any(row_norms(R[idx] - P[n]) <= 2.0 * mesh)
+    return [c for c, ok in zip(pooled, persist) if ok]
 
 
 def divergent(trend):

@@ -138,8 +138,8 @@ def test_linear_openness(F, ybar, mu, cfg, pts_per_shell=12):
     some x' within r of x.  A z whose preimage stays farther than r from
     x is a counterexample.
     """
-    if not mu > 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < INF:
+        raise ValueError("mu must be positive and finite")
     ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
     rho0 = cfg.rho_start
     r_grid = (0.5, 0.1, 0.02)
@@ -229,8 +229,8 @@ def test_inverse_lipschitz(F, ybar, ell, cfg, pts_per_shell=10):
     stay within ell*|y' - y| of F^{-1}(y) for window values y; the grid
     of y targets includes ybar itself plus small offsets.
     """
-    if not ell > 0:
-        raise ValueError("ell must be positive")
+    if not 0 < ell < INF:
+        raise ValueError("ell must be positive and finite")
     ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
     targets = [ybar.copy()]
     for k in range(F.m):
@@ -279,8 +279,8 @@ def test_lipschitz_like(F, ybar, ell, cfg, pts_per_shell=10):
     inequality |d_F(x,y) - d_F(x',y)| <= ell*|x - x'| before it counts;
     disagreement of the two checks is Inconclusive.
     """
-    if not ell > 0:
-        raise ValueError("ell must be positive")
+    if not 0 < ell < INF:
+        raise ValueError("ell must be positive and finite")
     ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
     rho0 = cfg.rho_start
     checked = 0

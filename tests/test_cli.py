@@ -336,6 +336,21 @@ class TestJelonekInputs:
         assert json.loads(err)["message"].startswith(word + " ")
 
 
+class TestWellposedModuli:
+    """A rate or modulus that is not positive and finite exits 2; an
+    infinite one used to run the battery and pass with "mu": "inf"."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--mu", "inf"), ("--mu", "nan"), ("--ell", "inf"), ("--ell", "nan"),
+    ], ids=["mu-inf", "mu-nan", "ell-inf", "ell-nan"])
+    def test_exit_2(self, problem_file, capsys, flag, value):
+        code, out, err = run(capsys, "wellposed", "--problem", problem_file,
+                             "--map", "Id", "--ybar", "0", flag, value)
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"] == \
+            flag[2:] + " must be positive and finite"
+
+
 class TestBadDocuments:
     """Documents of the wrong shape exit 2 with the offending JSON path."""
 

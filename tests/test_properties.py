@@ -5,7 +5,7 @@ import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from infcone import cones, dsl
 from infcone.cones import (canonicalize, cone_distance, contains_direction,
@@ -184,8 +184,16 @@ def same_rows(a, b):
                                     for p, q in zip(a, b))
 
 
+# 2,000 rows within 0.006 of (3, -1), across a cell boundary at mesh 0.02
+ONE_CLUSTER = np.random.default_rng(0).uniform(-0.004, 0.004, (2000, 2)) \
+    + [3.0, -1.0]
+
+
 @settings(max_examples=300, deadline=None)
 @given(sampled_shells())
+# the second row is exactly mesh from the first, one cell over
+@example(([np.array([[0.15, 1.0], [0.25, 1.0], [0.35, 1.0]])], 0.1, 1))
+@example(([ONE_CLUSTER], 0.02, 1))
 def test_limit_points_match_greedy_reference(case):
     rows, mesh, window = case
     for sh in rows:
@@ -240,6 +248,13 @@ def direction_rows(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(direction_rows())
+# one row per block: the second row lies 1e-12 inside the resolution of the
+# first, which a prefilter margin alone cannot decide
+@example((dirs_from_angles([0.3, 0.3 + 0.005 - 1e-12]), 0.005, 1))
+# a NaN row kept in the first block makes every later greedy max NaN, so
+# the near-duplicates in the second block are kept
+@example((np.array([[1.0, 0.0], [np.nan, np.nan], [0.0, 1.0], [1.0, 0.0],
+                    [math.cos(0.001), math.sin(0.001)]]), 0.005, 3))
 def test_dedup_matches_greedy_reference(case):
     dirs, resolution, block = case
     with mock.patch.object(cones, "_DEDUP_BLOCK", block):
